@@ -23,6 +23,7 @@ from .equivalence import (
 )
 from .errors import (
     HorizonExceededError,
+    MixedRadicalError,
     ParseError,
     PreconditionError,
     SamfiltError,
@@ -154,14 +155,7 @@ def _cmd_twist(args):
 
 
 def _cmd_bracket(args):
-    def build(F, alpha):
-        if not isinstance(F, DiscreteValued):
-            raise PreconditionError(
-                "bracket twist is defined for discrete valued filtrations"
-            )
-        return bracket_twist(F, alpha)
-
-    return _twistlike(args, "bracket", build)
+    return _twistlike(args, "bracket", bracket_twist)
 
 
 def _cmd_k(args):
@@ -209,8 +203,6 @@ def _cmd_ic(args):
 def _cmd_equiv(args):
     F = _load_filtration(args.left)
     G = _load_filtration(args.right)
-    if not isinstance(F, DiscreteValued) or not isinstance(G, DiscreteValued):
-        raise PreconditionError("equiv expects two discrete valued filtrations")
     res = projectively_equivalent(F, G)
     if res.equivalent:
         lines = ["equivalent, alpha = %s" % format_scalar(res.alpha)]
@@ -244,9 +236,12 @@ def _cmd_recover(args):
 
 def _cmd_mult(args):
     F = _load_filtration(args.filtration)
-    exact = None
-    if isinstance(F, DiscreteValued) and F.n <= 3:
+    try:
         exact = multiplicity_exact(F)
+    except MixedRadicalError:  # the exact path exists but cannot finish
+        raise
+    except PreconditionError:  # no exact path for this engine or dimension
+        exact = None
     estimate = None
     series = None
     if args.n_max is not None:

@@ -311,9 +311,9 @@ def recover_valuations(omega: OmegaOracle, degree_bound: int) -> IrredundantRep:
         u = _directional_form(omega, e, degree_bound)
         if u in seen_u:
             continue
-        seen_u.add(u)
         if degree_bound > 1 and u != _directional_form(omega, e, degree_bound - 1):
             continue  # not yet stabilized along this direction
+        seen_u.add(u)
         fitted = _fit_pair(u)
         if fitted is None:
             continue

@@ -16,13 +16,21 @@ order(F, f) is the largest m with f in I_m (PlusInfinity when f lies in
 every level).  Level results are cached per filtration; with the GIL a
 plain dict is safe for concurrent readers, at worst a level is computed
 twice.
+
+Each engine answers four questions by method: asymptotic_order (nubar
+on a nonzero f), saturated_level (K_t = {nubar >= t} for t > 0),
+closure_level (the graded integral closure at level m >= 1, with the
+monomials no witness r <= r_max decides) and value_limit (lim v(I_n)/n).
+Twist answers them through its base, scaling by alpha there.  The
+Filtration defaults are the "bounds only" answers of a Table: the nubar
+estimator, no value limit, and PreconditionError for the levels.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import (
     ConstructionError,
@@ -40,7 +48,15 @@ from .exactnum import (
     format_scalar,
     parse_scalar,
 )
-from .monomial import Exponent, MonomialIdeal, SupportPoly
+from ._linprog import OPTIMAL, lp_min
+from .monomial import (
+    Exponent,
+    MonomialIdeal,
+    SupportPoly,
+    integral_closure,
+    np_threshold_level,
+    np_value,
+)
 from .valuation import MonomialValuation, system_level
 
 
@@ -58,10 +74,60 @@ class AtLeast:
 OrderValue = Union[int, PlusInfinity, AtLeast]
 
 
+class NubarResult:
+    """Value of the asymptotic order, with how it was obtained.
+
+    kind is "exact" (closed form) or "lower_bound" (best ratio
+    order(f^n)/n seen, achieved at witness_n).  truncated marks lower
+    bounds that were capped by a table horizon, so enlarging n_max alone
+    cannot improve them.
+    """
+
+    __slots__ = ("value", "kind", "witness_n", "truncated")
+
+    def __init__(self, value, kind, witness_n=None, truncated=False):
+        if not isinstance(value, PlusInfinity):
+            value = as_exact(value)
+        self.value = value
+        self.kind = kind
+        self.witness_n = witness_n
+        self.truncated = truncated
+
+    @property
+    def is_exact(self):
+        return self.kind == "exact"
+
+    def __str__(self):
+        if self.kind == "exact":
+            return "%s (exact)" % format_scalar(self.value)
+        tail = " truncated" if self.truncated else ""
+        return ">= %s (witness n=%d%s)" % (
+            format_scalar(self.value),
+            self.witness_n,
+            tail,
+        )
+
+    def __repr__(self):
+        return "NubarResult(%s)" % self
+
+    def to_json(self):
+        return {
+            "value": format_scalar(self.value),
+            "kind": self.kind,
+            "witness_n": self.witness_n,
+            "truncated": self.truncated,
+        }
+
+
+_BOUNDS_ONLY = "%s need an exact engine (table filtrations only determine bounds)"
+
+
 class Filtration:
-    """Base class; subclasses implement _level and order."""
+    """Base class; subclasses implement _level and order, and override the
+    question methods that have closed forms for them."""
 
     n: int
+    exact = False  # whether the question methods have closed forms
 
     def __init__(self):
         self._cache: dict[int, MonomialIdeal] = {}
@@ -81,6 +147,22 @@ class Filtration:
     def order(self, f: SupportPoly) -> OrderValue:
         raise NotImplementedError
 
+    def asymptotic_order(self, f: SupportPoly, n_max: int) -> NubarResult:
+        """nubar on a nonzero f: the estimator's lower bound by default."""
+        return nubar_estimate(self, f, n_max)
+
+    def saturated_level(self, t) -> MonomialIdeal:
+        """{e : nubar(x^e) >= t} for t > 0."""
+        raise PreconditionError(_BOUNDS_ONLY % "saturated levels")
+
+    def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
+        """Graded integral closure at level m >= 1, with undecided monomials."""
+        raise PreconditionError(_BOUNDS_ONLY % "integral closure levels")
+
+    def value_limit(self, v: MonomialValuation):
+        """Closed form of lim v(I_n)/n, or None."""
+        return None
+
     def _check_elem(self, f: SupportPoly) -> SupportPoly:
         if not isinstance(f, SupportPoly):
             raise PreconditionError("expected a SupportPoly")
@@ -95,6 +177,8 @@ class Filtration:
 class Adic(Filtration):
     """Powers of a fixed monomial ideal."""
 
+    exact = True
+
     def __init__(self, ideal: MonomialIdeal):
         super().__init__()
         self.ideal = ideal
@@ -102,29 +186,42 @@ class Adic(Filtration):
         self._order_memo: dict[Exponent, int] = {}
 
     def _level(self, m: int) -> MonomialIdeal:
-        if m == 0:
-            return MonomialIdeal.unit(self.n)
-        return self.level(m - 1) * self.ideal
+        """I^m, multiplied up from the nearest cached power below m; every
+        power passed on the way is cached too."""
+        k = m
+        while k > 0 and k not in self._cache:
+            k -= 1
+        ideal = self._cache[k] if k else MonomialIdeal.unit(self.n)
+        for j in range(k + 1, m + 1):
+            ideal = self._cache[j] = ideal * self.ideal
+        return ideal
 
     def _order_exponent(self, e: Exponent) -> int:
-        """Largest m with x^e in I^m: strip generators greedily with memo."""
+        """Largest m with x^e in I^m: 1 + the best order left after
+        stripping one generator, memoized.  An explicit stack holds the
+        exponents still waiting for the orders of their remainders."""
         memo = self._order_memo
-        got = memo.get(e)
-        if got is not None:
-            return got
-        best = 0
-        for g in self.ideal.gens:
-            ok = True
-            for a, b in zip(g, e):
-                if a > b:
-                    ok = False
-                    break
-            if ok:
-                cand = 1 + self._order_exponent(tuple(b - a for a, b in zip(g, e)))
-                if cand > best:
-                    best = cand
-        memo[e] = best
-        return best
+        stack = [e]
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            best, missing = 0, False
+            for g in self.ideal.gens:
+                rest = tuple(map(operator.sub, top, g))
+                if min(rest) < 0:
+                    continue
+                got = memo.get(rest)
+                if got is None:
+                    stack.append(rest)
+                    missing = True
+                elif got >= best:
+                    best = got + 1
+            if not missing:
+                memo[top] = best
+                stack.pop()
+        return memo[e]
 
     def order(self, f: SupportPoly) -> OrderValue:
         f = self._check_elem(f)
@@ -136,6 +233,27 @@ class Adic(Filtration):
             return 0
         return min(self._order_exponent(e) for e in f.min_support())
 
+    def asymptotic_order(self, f: SupportPoly, n_max: int) -> NubarResult:
+        if self.ideal.is_unit:
+            return NubarResult(INF, "exact")
+        if self.ideal.is_zero:
+            return NubarResult(0, "exact")
+        return NubarResult(min(np_value(self.ideal, e) for e in f.min_support()), "exact")
+
+    def saturated_level(self, t) -> MonomialIdeal:
+        if self.ideal.is_unit:
+            return MonomialIdeal.unit(self.n)
+        if self.ideal.is_zero:
+            return MonomialIdeal.zero(self.n)
+        return np_threshold_level(self.ideal, t)
+
+    def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
+        # stable at r = 1: closure(I^m) already absorbs all higher witnesses
+        return integral_closure(self.level(m)), []
+
+    def value_limit(self, v: MonomialValuation):
+        return as_exact(v.value_of_ideal(self.ideal))
+
     def to_json(self) -> dict:
         return {"type": "adic", "ideal": self.ideal.to_json()}
 
@@ -145,6 +263,8 @@ class Adic(Filtration):
 
 class DiscreteValued(Filtration):
     """Intersections of valuation ideals with per-valuation scales a_i."""
+
+    exact = True
 
     def __init__(self, pairs: Iterable[tuple[MonomialValuation, object]]):
         super().__init__()
@@ -168,19 +288,37 @@ class DiscreteValued(Filtration):
     def _level(self, m: int) -> MonomialIdeal:
         if m == 0:
             return MonomialIdeal.unit(self.n)
-        return system_level(self.n, [(v.w, a * m, False) for v, a in self.pairs])
+        return self.saturated_level(m)
 
     def order(self, f: SupportPoly) -> OrderValue:
-        """min_i floor(v_i(f) / a_i) — the closed form for these levels."""
+        """max(floor(nubar(f)), 0) — the closed form for these levels."""
         f = self._check_elem(f)
         if f.is_zero:
             return INF
-        best = None
-        for v, a in self.pairs:
-            val = (as_exact(v.value(f)) / a).floor()
-            if best is None or val < best:
-                best = val
-        return max(best, 0)
+        return max(self.asymptotic_order(f, None).value.floor(), 0)
+
+    def asymptotic_order(self, f: SupportPoly, n_max: int) -> NubarResult:
+        """min_i v_i(f) / a_i."""
+        return NubarResult(min(as_exact(v.value(f)) / a for v, a in self.pairs), "exact")
+
+    def saturated_level(self, t) -> MonomialIdeal:
+        # valuation-cut levels: level m is the saturated level at t = m
+        return system_level(self.n, [(v.w, a * t, False) for v, a in self.pairs])
+
+    def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
+        # valuation-cut levels are integrally closed and the chain collapses
+        return self.level(m), []
+
+    def value_limit(self, v: MonomialValuation):
+        """min v.x over {x >= 0 : w_i.x >= a_i}, by an exact LP."""
+        zero, one = as_exact(0), as_exact(1)
+        c = [as_exact(x) for x in v.w]
+        A = [[as_exact(x) for x in pv.w] for pv, _ in self.pairs]
+        b = [a for _, a in self.pairs]
+        status, value, _ = lp_min(c, A, b, zero=zero, one=one)
+        if status != OPTIMAL:  # pragma: no cover - region is feasible/bounded
+            raise PreconditionError("value LP did not solve: %s" % status)
+        return value
 
     def to_json(self) -> dict:
         return {
@@ -205,6 +343,7 @@ class Twist(Filtration):
         self.base = base
         self.alpha = alpha
         self.n = base.n
+        self.exact = base.exact
 
     def _level(self, m: int) -> MonomialIdeal:
         return self.base.level(ceil_mul(self.alpha, m))
@@ -216,6 +355,39 @@ class Twist(Filtration):
         if isinstance(base, AtLeast):
             return AtLeast((as_exact(base.bound) / self.alpha).floor())
         return (as_exact(base) / self.alpha).floor()
+
+    def asymptotic_order(self, f: SupportPoly, n_max: int) -> NubarResult:
+        # the base's answer divided by alpha, bounds included: estimating on
+        # the twisted levels directly would give weaker bounds
+        inner = self.base.asymptotic_order(f, n_max)
+        value = inner.value
+        if not isinstance(value, PlusInfinity):
+            value = value / self.alpha
+        return NubarResult(value, inner.kind, inner.witness_n, inner.truncated)
+
+    def saturated_level(self, t) -> MonomialIdeal:
+        return self.base.saturated_level(self.alpha * t)
+
+    def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
+        """Monomials e with r*e in closure(level(r*m)) for some r <= r_max;
+        the generators of the saturated level outside them are pending.
+
+        The minimal such e are exactly the componentwise ceilings g/r over
+        generators g of the closures, so the search is a finite union.
+        """
+        if not self.exact:  # refuse before building any level of a table
+            return super().closure_level(m, r_max)
+        saturated = self.saturated_level(m)
+        cand = set()
+        for r in range(1, r_max + 1):
+            for g in integral_closure(self.level(r * m)).gens:
+                cand.add(tuple(-(-x // r) for x in g))
+        level = MonomialIdeal(self.n, cand)
+        return level, [e for e in saturated.gens if not level.contains_exponent(e)]
+
+    def value_limit(self, v: MonomialValuation):
+        inner = self.base.value_limit(v)
+        return None if inner is None else self.alpha * inner
 
     def to_json(self) -> dict:
         return {
@@ -230,6 +402,8 @@ class Twist(Filtration):
 
 class StairOneVar(Filtration):
     """One-variable staircase I_m = (x^(ceil(alpha*m)+c)) with shift c >= 0."""
+
+    exact = True
 
     def __init__(self, alpha, c: int):
         super().__init__()
@@ -255,6 +429,23 @@ class StairOneVar(Filtration):
         if c0 < self.c:
             return 0
         return (as_exact(c0 - self.c) / self.alpha).floor()
+
+    def asymptotic_order(self, f: SupportPoly, n_max: int) -> NubarResult:
+        return NubarResult(as_exact(f.order_1var()) / self.alpha, "exact")
+
+    def saturated_level(self, t) -> MonomialIdeal:
+        return MonomialIdeal(1, [((self.alpha * t).ceil(),)])
+
+    def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
+        """x^q is integral at level m iff q*r >= ceil(alpha*r*m) + c for
+        some r >= 1: strictly above the slope always works, on the slope
+        only when c = 0."""
+        t = self.alpha * m
+        q = t.as_int() + (1 if self.c else 0) if t.is_integer else t.ceil()
+        return MonomialIdeal(1, [(q,)]), []
+
+    def value_limit(self, v: MonomialValuation):
+        return as_exact(v.w[0]) * self.alpha
 
     def to_json(self) -> dict:
         return {"type": "stair1", "alpha": format_scalar(self.alpha), "c": self.c}
@@ -345,6 +536,38 @@ class Table(Filtration):
 
     def __repr__(self):
         return "Table(horizon=%d, n=%d)" % (self.horizon, self.n)
+
+
+def nubar_estimate(F: Filtration, f: SupportPoly, n_max: int) -> NubarResult:
+    """Best lower bound max_{n <= n_max} order(F, f^n)/n.
+
+    Sound for every engine by superadditivity of the order, and
+    nondecreasing along multiples of the reported witness_n.  truncated
+    is set when a power ran past a table horizon (the order of that
+    power is then only known to be >= the horizon).
+    """
+    if n_max < 1:
+        raise PreconditionError("n_max must be >= 1")
+    f = F._check_elem(f)
+    if f.is_zero:
+        return NubarResult(INF, "exact")
+    best = None
+    best_n = 1
+    truncated = False
+    pw = SupportPoly(f.n, [(0,) * f.n])
+    for k in range(1, n_max + 1):
+        pw = SupportPoly(f.n, (pw * f).min_support())
+        ordk = F.order(pw)
+        if isinstance(ordk, PlusInfinity):
+            return NubarResult(INF, "exact")
+        if isinstance(ordk, AtLeast):
+            truncated = True
+            cur = as_exact(ordk.bound) / k
+        else:
+            cur = as_exact(ordk) / k
+        if best is None or cur > best:
+            best, best_n = cur, k
+    return NubarResult(best, "lower_bound", witness_n=best_n, truncated=truncated)
 
 
 def twist(base: Filtration, alpha) -> Twist:

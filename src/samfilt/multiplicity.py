@@ -25,19 +25,11 @@ from functools import cmp_to_key
 from math import factorial
 
 from . import _kernels
-from ._linprog import OPTIMAL, lp_min
 from .errors import NotPrimaryError, PreconditionError
 from .exactnum import INF, ExactReal, PlusInfinity, as_exact, format_scalar
-from .filtration import (
-    Adic,
-    DiscreteValued,
-    Filtration,
-    StairOneVar,
-    Table,
-    Twist,
-)
+from .filtration import DiscreteValued, Filtration
 from .monomial import MonomialIdeal
-from .valuation import MonomialValuation, system_level
+from .valuation import MonomialValuation, primitive_pair, system_level
 
 
 def colength(I: MonomialIdeal) -> int:
@@ -223,7 +215,8 @@ def multiplicity_exact(F: DiscreteValued) -> ExactReal:
         raise PreconditionError(
             "exact volume limited to dimension <= 3; use multiplicity_estimate"
         )
-    pairs = list(F.pairs)
+    # pairs cutting the same plane would count its facet once per copy
+    pairs = list(dict.fromkeys(primitive_pair(v, a) for v, a in F.pairs))
     total = as_exact(0)
     for size in range(1, len(pairs) + 1):
         for combo in itertools.combinations(pairs, size):
@@ -313,29 +306,6 @@ class ValueResult:
         }
 
 
-def _value_limit(v: MonomialValuation, F: Filtration):
-    """Closed form of lim v(I_n)/n for the exact engines, else None."""
-    if isinstance(F, Adic):
-        return as_exact(v.value_of_ideal(F.ideal))
-    if isinstance(F, DiscreteValued):
-        zero, one = as_exact(0), as_exact(1)
-        c = [as_exact(x) for x in v.w]
-        A = [[as_exact(x) for x in pv.w] for pv, _ in F.pairs]
-        b = [a for _, a in F.pairs]
-        status, value, _ = lp_min(c, A, b, zero=zero, one=one)
-        if status != OPTIMAL:  # pragma: no cover - region is feasible/bounded
-            raise PreconditionError("value LP did not solve: %s" % status)
-        return value
-    if isinstance(F, StairOneVar):
-        return as_exact(v.w[0]) * F.alpha
-    if isinstance(F, Twist):
-        inner = _value_limit(v, F.base)
-        if inner is None:
-            return None
-        return F.alpha * inner
-    return None
-
-
 def filtration_value(v: MonomialValuation, F: Filtration, n_max: int) -> ValueResult:
     """lim v(I_n)/n: closed form when available plus the running inf."""
     if n_max < 1:
@@ -351,7 +321,7 @@ def filtration_value(v: MonomialValuation, F: Filtration, n_max: int) -> ValueRe
         cur = INF if isinstance(val, PlusInfinity) else as_exact(val) / n
         if best is None or cur < best:
             best, best_n = cur, n
-    return ValueResult(upper=best, upper_n=best_n, exact=_value_limit(v, F))
+    return ValueResult(upper=best, upper_n=best_n, exact=F.value_limit(v))
 
 
 @dataclass

@@ -14,6 +14,9 @@ semi-decidable, so witnesses r are searched up to r_max and candidate
 monomials that fail every witness but pass the nubar test (that is, lie
 in K_m) are reported as inconclusive instead of being silently dropped
 or included.
+
+The closed forms themselves are engine methods (see the filtration
+module); the functions here validate their input and tabulate.
 """
 
 from __future__ import annotations
@@ -21,70 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError
-from .exactnum import INF, ExactReal, PlusInfinity, as_exact, ceil_of, format_scalar
-from .filtration import (
-    Adic,
-    AtLeast,
-    DiscreteValued,
+from .exactnum import INF, as_exact, ceil_of
+from .filtration import (  # NubarResult and nubar_estimate are public here too
     Filtration,
+    NubarResult,
     StairOneVar,
     Table,
-    Twist,
+    nubar_estimate,
 )
-from .monomial import (
-    Exponent,
-    MonomialIdeal,
-    SupportPoly,
-    integral_closure,
-    np_threshold_level,
-    np_value,
-)
-from .valuation import system_level
-
-
-class NubarResult:
-    """Value of the asymptotic order, with how it was obtained.
-
-    kind is "exact" (closed form) or "lower_bound" (best ratio
-    order(f^n)/n seen, achieved at witness_n).  truncated marks lower
-    bounds that were capped by a table horizon, so enlarging n_max alone
-    cannot improve them.
-    """
-
-    __slots__ = ("value", "kind", "witness_n", "truncated")
-
-    def __init__(self, value, kind, witness_n=None, truncated=False):
-        if not isinstance(value, PlusInfinity):
-            value = as_exact(value)
-        self.value = value
-        self.kind = kind
-        self.witness_n = witness_n
-        self.truncated = truncated
-
-    @property
-    def is_exact(self):
-        return self.kind == "exact"
-
-    def __str__(self):
-        if self.kind == "exact":
-            return "%s (exact)" % format_scalar(self.value)
-        tail = " truncated" if self.truncated else ""
-        return ">= %s (witness n=%d%s)" % (
-            format_scalar(self.value),
-            self.witness_n,
-            tail,
-        )
-
-    def __repr__(self):
-        return "NubarResult(%s)" % self
-
-    def to_json(self):
-        return {
-            "value": format_scalar(self.value),
-            "kind": self.kind,
-            "witness_n": self.witness_n,
-            "truncated": self.truncated,
-        }
+from .monomial import Exponent, SupportPoly
 
 
 def nubar(F: Filtration, f: SupportPoly, n_max: int = 24) -> NubarResult:
@@ -97,94 +45,14 @@ def nubar(F: Filtration, f: SupportPoly, n_max: int = 24) -> NubarResult:
     f = F._check_elem(f)
     if f.is_zero:
         return NubarResult(INF, "exact")
-    if isinstance(F, Adic):
-        if F.ideal.is_unit:
-            return NubarResult(INF, "exact")
-        if F.ideal.is_zero:
-            return NubarResult(0, "exact")
-        val = min(np_value(F.ideal, e) for e in f.min_support())
-        return NubarResult(val, "exact")
-    if isinstance(F, DiscreteValued):
-        best = None
-        for v, a in F.pairs:
-            cur = as_exact(v.value(f)) / a
-            if best is None or cur < best:
-                best = cur
-        return NubarResult(best, "exact")
-    if isinstance(F, StairOneVar):
-        return NubarResult(as_exact(f.order_1var()) / F.alpha, "exact")
-    if isinstance(F, Twist):
-        inner = nubar(F.base, f, n_max)
-        if isinstance(inner.value, PlusInfinity):
-            return NubarResult(INF, inner.kind, inner.witness_n, inner.truncated)
-        return NubarResult(
-            inner.value / F.alpha, inner.kind, inner.witness_n, inner.truncated
-        )
-    if isinstance(F, Table):
-        return nubar_estimate(F, f, n_max)
-    raise PreconditionError("unsupported filtration engine %r" % type(F).__name__)
-
-
-def nubar_estimate(F: Filtration, f: SupportPoly, n_max: int) -> NubarResult:
-    """Best lower bound max_{n <= n_max} order(F, f^n)/n.
-
-    Sound for every engine by superadditivity of the order, and
-    nondecreasing along multiples of the reported witness_n.  truncated
-    is set when a power ran past a table horizon (the order of that
-    power is then only known to be >= the horizon).
-    """
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
-    f = F._check_elem(f)
-    if f.is_zero:
-        return NubarResult(INF, "exact")
-    best = None
-    best_n = 1
-    truncated = False
-    pw = SupportPoly(f.n, [(0,) * f.n])
-    for k in range(1, n_max + 1):
-        pw = SupportPoly(f.n, (pw * f).min_support())
-        ordk = F.order(pw)
-        if isinstance(ordk, PlusInfinity):
-            return NubarResult(INF, "exact")
-        if isinstance(ordk, AtLeast):
-            truncated = True
-            cur = as_exact(ordk.bound) / k
-        else:
-            cur = as_exact(ordk) / k
-        if best is None or cur > best:
-            best, best_n = cur, k
-    return NubarResult(best, "lower_bound", witness_n=best_n, truncated=truncated)
-
-
-def _k_level(F: Filtration, t) -> MonomialIdeal:
-    """The monomial ideal {e : nubar(F, x^e) >= t} for an exact engine."""
-    t = as_exact(t)
-    if t.sign() <= 0:
-        return MonomialIdeal.unit(F.n)
-    if isinstance(F, Adic):
-        if F.ideal.is_unit:
-            return MonomialIdeal.unit(F.n)
-        if F.ideal.is_zero:
-            return MonomialIdeal.zero(F.n)
-        return np_threshold_level(F.ideal, t)
-    if isinstance(F, DiscreteValued):
-        return system_level(F.n, [(v.w, a * t, False) for v, a in F.pairs])
-    if isinstance(F, StairOneVar):
-        return MonomialIdeal(1, [((F.alpha * t).ceil(),)])
-    if isinstance(F, Twist):
-        return _k_level(F.base, F.alpha * t)
-    raise PreconditionError(
-        "saturated levels need an exact engine (table filtrations only "
-        "determine bounds)"
-    )
+    return F.asymptotic_order(f, n_max)
 
 
 def k_filtration(F: Filtration, m_max: int) -> Table:
     """Tabulate K_m = {nubar >= m} for m = 1..m_max."""
     if m_max < 1:
         raise PreconditionError("m_max must be >= 1")
-    levels = {m: _k_level(F, m) for m in range(1, m_max + 1)}
+    levels = {m: F.saturated_level(m) for m in range(1, m_max + 1)}
     return Table(levels, m_max, validate=False)
 
 
@@ -205,55 +73,6 @@ class IcResult:
     inconclusive: dict[int, list[Exponent]] = field(default_factory=dict)
 
 
-def _ceil_div_vector(g: Exponent, r: int) -> Exponent:
-    return tuple(-(-x // r) for x in g)
-
-
-def _ic_level_generic(F: Filtration, m: int, r_max: int) -> MonomialIdeal:
-    """Monomials e with r*e in closure(level(F, r*m)) for some r <= r_max.
-
-    The minimal such e are exactly the componentwise ceilings g/r over
-    generators g of the closures, so the search is a finite union.
-    """
-    cand = set()
-    for r in range(1, r_max + 1):
-        closed = integral_closure(F.level(r * m))
-        for g in closed.gens:
-            cand.add(_ceil_div_vector(g, r))
-    return MonomialIdeal(F.n, cand)
-
-
-def _ic_level(F: Filtration, m: int, r_max: int):
-    """One graded piece of the integral closure, with undecided monomials."""
-    if m == 0:
-        return MonomialIdeal.unit(F.n), []
-    if isinstance(F, Adic):
-        # stable at r = 1: closure(I^m) already absorbs all higher witnesses
-        return integral_closure(F.level(m)), []
-    if isinstance(F, DiscreteValued):
-        # valuation-cut levels are integrally closed and the chain collapses
-        return F.level(m), []
-    if isinstance(F, StairOneVar):
-        # x^q integral at level m iff q*r >= ceil(alpha*r*m) + c for some r:
-        # strictly above the slope always works, on the slope only when c = 0
-        t = F.alpha * m
-        if t.is_integer:
-            q = t.as_int() + (0 if F.c == 0 else 1)
-        else:
-            q = t.ceil()
-        return MonomialIdeal(1, [(q,)]), []
-    if isinstance(F, Twist):
-        level = _ic_level_generic(F, m, r_max)
-        pending = [
-            e for e in _k_level(F, m).gens if not level.contains_exponent(e)
-        ]
-        return level, pending
-    raise PreconditionError(
-        "integral closure levels need an exact engine (table filtrations "
-        "only determine bounds)"
-    )
-
-
 def ic_filtration(F: Filtration, m_max: int, r_max: int = 12) -> IcResult:
     """Tabulate the graded integral closure J_m for m = 1..m_max."""
     if m_max < 1:
@@ -263,7 +82,7 @@ def ic_filtration(F: Filtration, m_max: int, r_max: int = 12) -> IcResult:
     levels = {}
     inconclusive = {}
     for m in range(1, m_max + 1):
-        level, pending = _ic_level(F, m, r_max)
+        level, pending = F.closure_level(m, r_max)
         levels[m] = level
         if pending:
             inconclusive[m] = pending
@@ -275,23 +94,14 @@ def rees_graded_integral_1var(alpha, c: int, f_ord: int, n: int) -> bool:
     """Whether x^f_ord in degree n is integral over the one-variable stair
     family with slope alpha and shift c.
 
-    Integrality asks for d >= 1 with d*f_ord >= ceil(alpha*n*d) + c, which
-    holds iff f_ord > alpha*n, or f_ord = alpha*n with c = 0.
+    Integrality asks for d >= 1 with d*f_ord >= ceil(alpha*n*d) + c, that
+    is, x^f_ord in the closure level n of StairOneVar(alpha, c).
     """
-    alpha = as_exact(alpha)
-    if alpha.sign() <= 0:
-        raise PreconditionError("alpha must be positive")
-    if c < 0:
-        raise PreconditionError("c must be nonnegative")
+    stair = StairOneVar(alpha, c)
     if f_ord < 1 or n < 1:
         raise PreconditionError("f_ord and n must be positive")
-    diff = as_exact(f_ord) - alpha * n
-    s = diff.sign()
-    if s > 0:
-        return True
-    if s == 0:
-        return c == 0
-    return False
+    level, _ = stair.closure_level(n, 1)
+    return level.contains_exponent((f_ord,))
 
 
 def rees_integral_witness_1var(alpha, c: int, f_ord: int, n: int):

@@ -88,6 +88,14 @@ class TestNu:
         assert doc == {"command": "nu", "kind": "infinite", "value": None}
 
 
+    def test_deep_power_of_adic(self, run, tmp_path):
+        # the order walk has no recursion depth growing with the exponent
+        path = tmp_path / "adic_xy.json"
+        path.write_text(json.dumps({"type": "adic", "ideal": {"n": 2, "gens": [[1, 0], [0, 1]]}}))
+        rc, out, err = run("nu", "-f", str(path), "--monomial", "1200,0")
+        assert (rc, out, err) == (0, "1200\n", "")
+
+
 class TestNubar:
     def test_exact_text(self, run, files):
         rc, out, _ = run("nubar", "-f", files["adic"], "--monomial", "5,0")
@@ -148,6 +156,14 @@ class TestTwist:
         doc = run_json(run, "twist", "-f", files["tw_dv"], "--alpha", "4/3")
         inner = doc["filtration"]["base"]
         assert inner["type"] == "twist" and inner["alpha"] == "1/2"
+
+
+    def test_deep_adic_level(self, run, tmp_path):
+        # level 1200 of the base is built without recursion
+        path = tmp_path / "adic_x.json"
+        path.write_text(json.dumps({"type": "adic", "ideal": {"n": 1, "gens": [[1]]}}))
+        doc = run_json(run, "twist", "-f", str(path), "--alpha", "1200", "--m-max", "1")
+        assert doc["levels"] == [[1, {"n": 1, "gens": [[1200]]}]]
 
 
 class TestBracket:

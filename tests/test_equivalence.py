@@ -262,6 +262,18 @@ class TestRecoverValuations:
         rep = recover_valuations(om, 8)
         assert rep == make_irredundant(hidden)
 
+    def test_unstable_first_sighting_does_not_hide_stable_direction(self):
+        # e = (0, 2) shows the form of (4,1) before it stabilizes; the
+        # stable sighting at e = (0, 3) must still be used
+        hidden = [P((1, 1), 2), P((1, 2), 3), P((4, 1), Fraction(5, 2))]
+        rep = recover_valuations(OmegaOracle.from_pairs(hidden), 6)
+        assert rep == make_irredundant(hidden)
+        assert rep_data(rep) == [
+            ((1, 1), Fraction(2)),
+            ((1, 2), Fraction(3)),
+            ((4, 1), Fraction(5, 2)),
+        ]
+
     def test_round_trip_random(self):
         rnd = random.Random(109)
         for _ in range(15):

@@ -133,6 +133,15 @@ class TestMultiplicityExact:
         approx = Fraction(6 * c, n**3)
         assert abs(approx - got) < Fraction(1, 4), (got, approx)
 
+    def test_repeated_plane_counted_once(self):
+        # copies of one cut, literally or up to a common factor of (w, a),
+        # leave the region unchanged
+        assert multiplicity_exact(DV(((1, 1, 1), 1), ((1, 1, 1), 1))).as_fraction() == 1
+        F = DV(((1, 1, 2), 1), ((2, 2, 4), 2))
+        assert multiplicity_exact(F).as_fraction() == Fraction(1, 2)
+        F = DV(((1, 2), 1), ((2, 4), 2), ((2, 1), 1), ((2, 1), 1))
+        assert multiplicity_exact(F).as_fraction() == Fraction(2, 3)
+
     def test_matches_estimate_2d(self):
         F = DV(((1, 2), 1), ((2, 1), 1))
         val, _ = multiplicity_estimate(F, 240)

@@ -16,6 +16,7 @@ from samfilt import (
     SupportPoly,
     Table,
     bracket_twist,
+    filtration_value,
     ic_filtration,
     integral_closure,
     k_filtration,
@@ -325,6 +326,35 @@ class TestIcFiltration:
             ic_filtration(Adic(BOX), 0)
         with pytest.raises(PreconditionError):
             ic_filtration(Adic(BOX), 2, r_max=0)
+
+
+class TestTwistOverTable:
+    """A twist answers through its base, so over a table it keeps the
+    table's bounds and its refusals."""
+
+    T = Table({1: BOX, 2: BOX * BOX}, 2)
+
+    def test_nubar_is_base_bound_over_alpha(self):
+        r = nubar(twist(self.T, 2), mono((2, 0)))
+        assert r.kind == "lower_bound" and r.witness_n == 1 and r.truncated
+        assert r.value.as_fraction() == Fraction(1, 2)
+        assert str(r) == ">= 1/2 (witness n=1 truncated)"
+
+    def test_no_saturated_levels(self):
+        with pytest.raises(PreconditionError, match="saturated levels"):
+            k_filtration(twist(self.T, 2), 1)
+
+    def test_value_has_no_closed_form(self):
+        res = filtration_value((1, 1), twist(self.T, 2), 1)
+        assert res.exact is None and res.upper.as_fraction() == 4
+
+    @pytest.mark.parametrize("r_max", [2, 12])
+    def test_no_closure_levels_and_nothing_built(self, r_max):
+        T = Table({1: BOX, 2: BOX * BOX}, 2)
+        G = twist(T, 1)
+        with pytest.raises(PreconditionError, match="integral closure levels"):
+            ic_filtration(G, 1, r_max=r_max)
+        assert not T._cache and not G._cache
 
 
 class TestReesGradedIntegral:
