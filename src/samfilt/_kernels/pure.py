@@ -14,20 +14,20 @@ def reduce_antichain(points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]
 
     Output is deduplicated and sorted by (total degree, lex).
     """
-    pts = sorted(set(points), key=lambda p: (sum(p), p))
-    if not pts:
+    uniq = set(points)
+    if not uniq:
         return []
-    n = len(pts[0])
-    if n == 2:
-        # staircase scan: sorted by degree then lex; keep a running minimum
-        # of the second coordinate per strictly increasing first coordinate
+    if len(next(iter(uniq))) == 2:
+        # staircase scan in lex order: keep a running minimum of the second
+        # coordinate per strictly increasing first coordinate
         out: list[tuple[int, ...]] = []
-        for p in sorted(set(points)):
+        for p in sorted(uniq):
             if out and out[-1][1] <= p[1]:
                 continue
             out.append(p)
         out.sort(key=lambda p: (sum(p), p))
         return out
+    pts = sorted(uniq, key=lambda p: (sum(p), p))
     out = []
     for p in pts:
         dominated = False

@@ -236,20 +236,19 @@ def _cmd_recover(args):
 
 def _cmd_mult(args):
     F = _load_filtration(args.filtration)
+    exact = why = None
     try:
         exact = multiplicity_exact(F)
-    except MixedRadicalError:  # the exact path exists but cannot finish
-        raise
+    except MixedRadicalError as exc:  # the exact path exists but cannot finish
+        why = "no exact multiplicity (%s)" % exc
     except PreconditionError:  # no exact path for this engine or dimension
-        exact = None
+        why = "no exact path for this engine/dimension"
     estimate = None
     series = None
     if args.n_max is not None:
         estimate, series = multiplicity_estimate(F, args.n_max)
     if exact is None and estimate is None:
-        raise PreconditionError(
-            "no exact path for this engine/dimension; pass --n-max for an estimate"
-        )
+        raise PreconditionError("%s; pass --n-max for an estimate" % why)
     lines = []
     if exact is not None:
         lines.append("exact = %s" % format_scalar(exact))

@@ -2,7 +2,9 @@
 
 Five engines:
 
-* Adic(I): levels are the powers I^m.
+* Adic(I): levels are the powers I^m.  nubar, the saturated levels and
+  the closure levels closure(I^m) = {nubar >= m} are read off the facets of
+  the Newton polyhedron of I, exact in any dimension.
 * DiscreteValued(pairs): levels are intersections of valuation ideals,
   I_m = {e : w_i . e >= ceil(m * a_i) for every pair (w_i, a_i)}.
 * Twist(base, alpha): levels I_m = base level at ceil(alpha * m).  Nested
@@ -248,8 +250,9 @@ class Adic(Filtration):
         return np_threshold_level(self.ideal, t)
 
     def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
-        # stable at r = 1: closure(I^m) already absorbs all higher witnesses
-        return integral_closure(self.level(m)), []
+        # closure(I^m) = m * NP(I) = {nubar >= m}, read off the facets of I
+        # without building I^m; it absorbs every higher witness r
+        return self.saturated_level(m), []
 
     def value_limit(self, v: MonomialValuation):
         return as_exact(v.value_of_ideal(self.ideal))

@@ -8,19 +8,21 @@ take all pairwise sums, the generic no-cancellation convention.
 The Newton polyhedron of an ideal (convex hull of the generators plus the
 positive orthant) drives integral closures: a monomial lies in the integral
 closure of I^m exactly when its exponent lies in m times the polyhedron.
-That test is an exact rational LP; in two variables the facet description
-is computed directly and used for fast staircase sweeps.
+The facets of the polyhedron are enumerated once per ideal, exactly and in
+any dimension; the order np_value, the saturated levels np_threshold_level
+and the integral closure all read them.  system_level, the monomial ideal
+cut out by linear inequalities, turns facet rows into generators.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import _kernels
-from ._linprog import OPTIMAL, simplex_max
 from .errors import DimensionMismatchError, ParseError, PreconditionError
 from .exactnum import ExactReal, as_exact
 
@@ -52,7 +54,7 @@ def monomial_str(e: Exponent) -> str:
 class MonomialIdeal:
     """A monomial ideal, canonically generated by its minimal exponents."""
 
-    __slots__ = ("n", "gens")
+    __slots__ = ("n", "gens", "_facets")  # _facets: see newton_facets
 
     def __init__(self, n: int, gens: Iterable[Sequence[int]]):
         if n < 1:
@@ -289,46 +291,70 @@ class SupportPoly:
 # -- Newton polyhedron ------------------------------------------------
 
 
-def newton_facets_2d(ideal: MonomialIdeal) -> list[tuple[int, int, int]]:
-    """Facet inequalities (l1, l2, c): NP(I) = {e : l1 e1 + l2 e2 >= c, all}.
+def newton_facets(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
+    """Facet inequalities (l1, ..., ln, c): NP(I) = {e : l . e >= c, all}.
 
-    Normals are primitive with nonnegative entries, sorted lexicographically.
-    Only facets with positive right-hand side are listed (the rest are
-    implied by e >= 0).
+    Normals are primitive with nonnegative entries, c is the least value
+    of l over the generators and is positive; facets with c = 0 are implied
+    by e >= 0 and left out.  Sorted lexicographically; computed once per
+    ideal object, on the first call.
+
+    The normals l/c are the vertices of the blocker {u >= 0 : u . g >= 1
+    for every generator g}, enumerated by double description (Motzkin et
+    al. 1953; Fukuda & Prodon 1996) on the cone {(u, s) >= 0 : g . u >= s}
+    in integer arithmetic: rays start as the unit vectors and each
+    generator cuts them in turn, new rays coming from adjacent pairs on
+    opposite sides.  Two rays are adjacent when no third ray is tight at
+    every constraint tight at both.
     """
-    if ideal.n != 2:
-        raise PreconditionError("facet description implemented for n = 2")
+    facets = getattr(ideal, "_facets", None)
+    if facets is not None:
+        return facets
     if not ideal.is_proper_nonzero:
         raise PreconditionError("facets need a proper nonzero ideal")
-    pts = sorted(ideal.gens)  # x ascending, y strictly descending
-    hull = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            # keep only convex (left-bending) corners of the lower chain
-            if (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0) <= 0:
-                hull.pop()
+    n = ideal.n
+    # a ray is (coordinates (u1..un, s), bitmask of the constraints tight at it)
+    full = (1 << (n + 1)) - 1  # bits 0..n: the sign constraints u >= 0, s >= 0
+    rays = [
+        (tuple(int(i == j) for i in range(n + 1)), full ^ (1 << j))
+        for j in range(n + 1)
+    ]
+    for k, g in enumerate(ideal.gens):
+        bit = 1 << (n + 1 + k)
+        pos, neg, keep = [], [], []
+        for ray in rays:
+            a = sum(map(operator.mul, g, ray[0])) - ray[0][n]  # g . u - s
+            if a > 0:
+                pos.append((ray, a))
+                keep.append(ray)
+            elif a < 0:
+                neg.append((ray, -a))
             else:
-                break
-        hull.append(p)
+                keep.append((ray[0], ray[1] | bit))
+        for (p, ap), (q, aq) in itertools.product(pos, neg):
+            common = p[1] & q[1]
+            if common.bit_count() < n - 1 or any(
+                r is not p and r is not q and r[1] & common == common for r in rays
+            ):
+                continue
+            v = [aq * x + ap * y for x, y in zip(p[0], q[0])]
+            d = math.gcd(*v)
+            keep.append((tuple(x // d for x in v), common | bit))
+        rays = keep
     facets = []
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        l1, l2 = y0 - y1, x1 - x0
-        g = math.gcd(l1, l2)
-        l1, l2 = l1 // g, l2 // g
-        facets.append((l1, l2, l1 * x0 + l2 * y0))
-    xmin = min(g[0] for g in ideal.gens)
-    ymin = min(g[1] for g in ideal.gens)
-    if xmin > 0:
-        facets.append((1, 0, xmin))
-    if ymin > 0:
-        facets.append((0, 1, ymin))
-    facets.sort()
+    for v, _ in rays:
+        if v[n]:  # s > 0: a vertex of the blocker, not a direction
+            d = math.gcd(*v[:n])
+            l = tuple(x // d for x in v[:n])
+            facets.append(l + (min(sum(map(operator.mul, l, g)) for g in ideal.gens),))
+    facets = tuple(sorted(facets))
+    object.__setattr__(ideal, "_facets", facets)
     return facets
 
 
 def np_value(ideal: MonomialIdeal, e: Sequence[int]) -> ExactReal:
-    """Largest t with e inside t times the Newton polyhedron of the ideal.
+    """Largest t with e inside t times the Newton polyhedron of the ideal:
+    the least l . e / c over its facets.
 
     This equals the limit of (power membership order of e^k)/k; it is
     always rational.  Requires a proper nonzero ideal.
@@ -336,54 +362,15 @@ def np_value(ideal: MonomialIdeal, e: Sequence[int]) -> ExactReal:
     if not ideal.is_proper_nonzero:
         raise PreconditionError("np_value needs a proper nonzero ideal")
     e = _check_exponent(e, ideal.n)
-    if ideal.n == 2:
-        best = None
-        for l1, l2, c in newton_facets_2d(ideal):
-            t = Fraction(l1 * e[0] + l2 * e[1], c)
-            if best is None or t < best:
-                best = t
-        return as_exact(best)
-    # max sum(mu) with sum_g mu_g g <= e, mu >= 0
-    zero, one = Fraction(0), Fraction(1)
-    gens = ideal.gens
-    c = [one] * len(gens)
-    A = [[Fraction(g[j]) for g in gens] for j in range(ideal.n)]
-    b = [Fraction(x) for x in e]
-    status, value, _ = simplex_max(c, A, b, zero=zero, one=one)
-    if status != OPTIMAL:  # pragma: no cover - bounded for proper ideals
-        raise RuntimeError("np_value LP: %s" % status)
-    return as_exact(value)
-
-
-def _np_threshold_level_2d(
-    ideal: MonomialIdeal, t, strict_integer_boundary: bool = False
-) -> MonomialIdeal:
-    """Monomials with np_value >= t (or > t at exact facet equality).
-
-    t is a positive exact scalar; uses the facet staircase directly.
-    """
-    rows = []
-    xmin = ymin = 0
-    for l1, l2, c in newton_facets_2d(ideal):
-        thr = as_exact(t) * c
-        ci = thr.ceil()
-        if strict_integer_boundary and thr.is_integer:
-            ci += 1
-        if ci <= 0:
-            continue
-        if l1 == 0:
-            ymin = max(ymin, -(-ci // l2))
-        elif l2 == 0:
-            xmin = max(xmin, -(-ci // l1))
-        else:
-            rows.append((l1, l2, ci))
-    if not rows:
-        return MonomialIdeal(2, [(xmin, ymin)])
-    return MonomialIdeal(2, _kernels.staircase_gens_2d(rows, xmin, ymin))
+    # map stops at the shorter e, so it pairs l with e and leaves out c
+    return as_exact(
+        min(Fraction(sum(map(operator.mul, f, e)), f[-1]) for f in newton_facets(ideal))
+    )
 
 
 def np_threshold_level(ideal: MonomialIdeal, t, strict: bool = False) -> MonomialIdeal:
-    """The monomial ideal of exponents with np_value(ideal, e) >= t.
+    """The monomial ideal of exponents with np_value(ideal, e) >= t, that
+    is l . e >= t * c on every facet.
 
     With strict=True the inequality is strict instead.
     """
@@ -392,31 +379,9 @@ def np_threshold_level(ideal: MonomialIdeal, t, strict: bool = False) -> Monomia
         return MonomialIdeal.unit(ideal.n)
     if not ideal.is_proper_nonzero:
         raise PreconditionError("threshold level needs a proper nonzero ideal")
-    if ideal.n == 2:
-        return _np_threshold_level_2d(ideal, t, strict_integer_boundary=strict)
-    pad = 1 if strict else 0
-    box = tuple(
-        (t * max(g[j] for g in ideal.gens)).ceil() + pad for j in range(ideal.n)
+    return system_level(
+        ideal.n, [(f[:-1], t * f[-1], strict) for f in newton_facets(ideal)]
     )
-    if strict:
-        member = lambda e: np_value(ideal, e) > t
-    else:
-        member = lambda e: np_value(ideal, e) >= t
-    return MonomialIdeal(ideal.n, _minimal_satisfying(box, member))
-
-
-def _minimal_satisfying(box: tuple[int, ...], member) -> list[Exponent]:
-    """Minimal points of an up-closed predicate inside the given box."""
-    accepted: list[Exponent] = []
-    candidates = sorted(
-        itertools.product(*(range(b + 1) for b in box)), key=lambda p: (sum(p), p)
-    )
-    for e in candidates:
-        if _kernels.any_le(accepted, e):
-            continue
-        if member(e):
-            accepted.append(e)
-    return accepted
 
 
 def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -426,3 +391,62 @@ def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     if ideal.n == 1:
         return ideal  # principal monomial ideals are integrally closed
     return np_threshold_level(ideal, 1)
+
+
+# -- levels cut out by linear inequalities -----------------------------
+
+
+def _resolve_threshold(threshold, strict: bool) -> int:
+    """Integer T with {integer s : s >= threshold (or >)} = {s >= T}."""
+    t = as_exact(threshold)
+    c = t.ceil()
+    if strict and t.is_integer:
+        c += 1
+    return c
+
+
+def system_level(
+    n: int, constraints: Iterable[tuple[Sequence[int], object, bool]]
+) -> MonomialIdeal:
+    """Monomial ideal {e >= 0 : w . e >= T (or > T) for every constraint}.
+
+    Each constraint is (w, threshold, strict) with nonnegative integer w of
+    length n and an exact threshold.  A constraint with w = 0 and a
+    positive threshold makes the ideal zero.
+    """
+    rows = []
+    for w, threshold, strict in constraints:
+        w = tuple(w)
+        if len(w) != n:
+            raise DimensionMismatchError("dimension mismatch")
+        c = _resolve_threshold(threshold, strict)
+        if c > 0:
+            rows.append((w, c))
+    if not rows:
+        return MonomialIdeal.unit(n)
+    return MonomialIdeal(n, _minimal_rows(n, rows))
+
+
+def _minimal_rows(n: int, rows: list[tuple[tuple[int, ...], int]]) -> list[Exponent]:
+    """Integer solutions of w . e >= c for all rows (w >= 0, c > 0), among
+    them all minimal ones; the MonomialIdeal constructor drops the rest."""
+    if any(not any(w) for w, _ in rows):
+        return []
+    if n == 1:
+        return [(max(-(-c // w[0]) for w, c in rows),)]
+    if n == 2:
+        xmin = max([-(-c // w[0]) for w, c in rows if not w[1]], default=0)
+        ymin = max([-(-c // w[1]) for w, c in rows if not w[0]], default=0)
+        both = [(w[0], w[1], c) for w, c in rows if w[0] and w[1]]
+        return [tuple(g) for g in _kernels.staircase_gens_2d(both, xmin, ymin)]
+    # peel off the last coordinate; rows without it pass down unchanged
+    top = max([-(-c // w[-1]) for w, c in rows if w[-1]], default=0)
+    pts: list[Exponent] = []
+    for t in range(top + 1):
+        sub = [(w[:-1], c - w[-1] * t) for w, c in rows if c > w[-1] * t]
+        if not sub:
+            pts.append((0,) * (n - 1) + (t,))
+            break
+        for tail in _minimal_rows(n - 1, sub):
+            pts.append(tail + (t,))
+    return pts

@@ -4,18 +4,18 @@ A monomial valuation is given by a strictly positive integer weight vector
 w; it sends a monomial x^e to w.e and a polynomial to the minimum over its
 support.  The valuation ideal at threshold T is the monomial ideal of all
 exponents with w.e >= T; thresholds may be any positive exact scalar and
-are resolved through exact ceilings.
+are resolved through exact ceilings.  Intersections of valuation ideals
+are system_level, defined with the monomial ideals and re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from . import _kernels
 from .errors import DimensionMismatchError, ParseError, PreconditionError
-from .exactnum import INF, ExactReal, PlusInfinity, as_exact
-from .monomial import Exponent, MonomialIdeal, SupportPoly
+from .exactnum import INF, ExactReal, as_exact
+from .monomial import MonomialIdeal, SupportPoly, system_level
 
 
 class MonomialValuation:
@@ -104,57 +104,3 @@ def primitive_pair(v: MonomialValuation, a) -> tuple[MonomialValuation, ExactRea
     if g == 1:
         return v, a
     return MonomialValuation(tuple(x // g for x in v.w)), a / g
-
-
-def _resolve_threshold(threshold, strict: bool) -> int:
-    """Integer T with {integer s : s >= threshold (or >)} = {s >= T}."""
-    t = as_exact(threshold)
-    c = t.ceil()
-    if strict and t.is_integer:
-        c += 1
-    return c
-
-
-def system_level(
-    n: int, constraints: Iterable[tuple[Sequence[int], object, bool]]
-) -> MonomialIdeal:
-    """Monomial ideal {e >= 0 : w . e >= T (or > T) for every constraint}.
-
-    Each constraint is (w, threshold, strict) with strictly positive integer
-    w of length n and an exact positive-or-zero threshold.
-    """
-    rows = []
-    for w, threshold, strict in constraints:
-        w = tuple(w)
-        if len(w) != n:
-            raise DimensionMismatchError("dimension mismatch")
-        c = _resolve_threshold(threshold, strict)
-        if c > 0:
-            rows.append((w, c))
-    if not rows:
-        return MonomialIdeal.unit(n)
-    return MonomialIdeal(n, _minimal_rows(n, rows))
-
-
-def _minimal_rows(n: int, rows: list[tuple[tuple[int, ...], int]]) -> list[Exponent]:
-    """Minimal integer solutions of w . e >= c for all rows (all w >= 1)."""
-    if n == 1:
-        need = max(-(-c // w[0]) for w, c in rows)
-        return [(max(need, 0),)]
-    if n == 2:
-        return [
-            tuple(g)
-            for g in _kernels.staircase_gens_2d([(w[0], w[1], c) for w, c in rows])
-        ]
-    # peel off the last coordinate and recurse
-    top = max(-(-c // w[-1]) for w, c in rows)
-    pts: list[Exponent] = []
-    for t in range(top + 1):
-        sub = [(w[:-1], c - w[-1] * t) for w, c in rows]
-        sub = [(w, c) for w, c in sub if c > 0]
-        if not sub:
-            pts.append((0,) * (n - 1) + (t,))
-            break
-        for tail in _minimal_rows(n - 1, sub):
-            pts.append(tail + (t,))
-    return _kernels.reduce_antichain(pts)

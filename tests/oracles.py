@@ -2,12 +2,16 @@
 
 Everything here is deliberately naive: membership by definition-chasing
 and exhaustive enumeration, no shared code with the library's algorithms
-beyond the public data types.
+beyond the public data types.  The one exception is np_value_lp, which
+solves its linear program with the library's exact simplex (tested on its
+own in test_linprog).
 """
 
 import itertools
 from fractions import Fraction
 from math import ceil, gcd
+
+from samfilt._linprog import OPTIMAL, simplex_max
 
 
 def dominates(e, g):
@@ -167,3 +171,15 @@ def primitive(w):
     for x in w:
         g = gcd(g, x)
     return tuple(x // g for x in w)
+
+
+def np_value_lp(gens, e):
+    """max sum(mu) with sum_g mu_g g <= e, mu >= 0: the Newton polyhedron
+    order of e, one exact LP per point."""
+    zero, one = Fraction(0), Fraction(1)
+    c = [one] * len(gens)
+    A = [[Fraction(g[j]) for g in gens] for j in range(len(e))]
+    b = [Fraction(x) for x in e]
+    status, value, _ = simplex_max(c, A, b, zero=zero, one=one)
+    assert status == OPTIMAL, status
+    return value

@@ -311,6 +311,30 @@ class TestMult:
         assert doc["exact"] == "2/3"
         assert doc["series"]["samples"] == [[1, 1], [2, 3], [3, 5], [4, 8]]
 
+    MIXED = {
+        "type": "dv",
+        "pairs": [
+            {"w": [1, 2], "a": "(0+1*sqrt(2))/1"},
+            {"w": [2, 1], "a": "(0+1*sqrt(3))/1"},
+        ],
+    }
+
+    def test_mixed_radicals_estimate_only(self, run, tmp_path):
+        # no exact value across sqrt(2) and sqrt(3), but the estimate exists
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(self.MIXED))
+        rc, out, err = run("mult", "-f", str(path), "--n-max", "20")
+        assert (rc, out, err) == (0, "estimate(n=20) = 93/50\n", "")
+        doc = run_json(run, "mult", "-f", str(path), "--n-max", "4")
+        assert doc["exact"] is None and doc["estimate"] == "19/8"
+
+    def test_mixed_radicals_without_n_max(self, run, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(self.MIXED))
+        rc, out, err = run("mult", "-f", str(path))
+        assert rc == 3 and out == ""
+        assert "sqrt(2)" in err and "sqrt(3)" in err and "--n-max" in err
+
 
 class TestVal:
     def test_text(self, run, files):

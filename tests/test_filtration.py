@@ -21,6 +21,10 @@ from samfilt import (
     Twist,
     bracket_twist,
     filtration_from_json,
+    ic_filtration,
+    k_filtration,
+    newton_facets,
+    nubar,
     parse_scalar,
     sqrt,
     twist,
@@ -146,6 +150,23 @@ class TestAdic:
         assert F.level(1).is_zero
         assert F.order(mono(1, 0)) == 0
         assert isinstance(F.order(SupportPoly.zero(2)), PlusInfinity)
+
+    @pytest.mark.parametrize("query", ["nubar", "k", "ic"])
+    @pytest.mark.parametrize("gens", [[(2, 0), (0, 3)], [(2, 0, 0), (0, 3, 0), (1, 1, 1)]])
+    def test_facets_wait_for_first_query(self, query, gens):
+        # parsing and constructing do no polyhedral work; the first
+        # nubar, k or ic query computes the facets and keeps them
+        n = len(gens[0])
+        doc = {"type": "adic", "ideal": {"n": n, "gens": [list(g) for g in gens]}}
+        run = {
+            "nubar": lambda F: nubar(F, mono(*([1] * n))),
+            "k": lambda F: k_filtration(F, 2),
+            "ic": lambda F: ic_filtration(F, 2),
+        }[query]
+        for F in (filtration_from_json(doc), Adic(MonomialIdeal(n, gens))):
+            assert getattr(F.ideal, "_facets", None) is None
+            run(F)
+            assert F.ideal._facets == newton_facets(F.ideal)
 
 
 class TestDiscreteValued:

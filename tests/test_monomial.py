@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,9 +10,10 @@ from samfilt import (
     MonomialIdeal,
     PreconditionError,
     SupportPoly,
+    as_exact,
     integral_closure,
     monomial_str,
-    newton_facets_2d,
+    newton_facets,
     np_threshold_level,
     np_value,
     sqrt,
@@ -22,8 +24,24 @@ from oracles import (
     closure_members,
     in_monomial_ideal,
     minimal_points,
+    np_value_lp,
     power_gens,
 )
+
+
+def random_ideal(rnd, n, hi):
+    """A proper nonzero ideal in n variables; primary only some of the time."""
+    while True:
+        gens = [
+            tuple(rnd.randint(0, hi) for _ in range(n))
+            for _ in range(rnd.randint(1, 4))
+        ]
+        for j in range(n):
+            if rnd.random() < 0.5:
+                gens.append(tuple(rnd.randint(1, hi) if k == j else 0 for k in range(n)))
+        I = MonomialIdeal(n, gens)
+        if I.is_proper_nonzero:
+            return I
 
 
 class TestMonomialIdeal:
@@ -141,11 +159,11 @@ class TestSupportPoly:
 class TestNewtonFacets:
     def test_box_corner(self):
         I = MonomialIdeal(2, [(2, 0), (0, 3)])
-        assert newton_facets_2d(I) == [(3, 2, 6)]
+        assert newton_facets(I) == ((3, 2, 6),)
 
     def test_two_facets(self):
         J = MonomialIdeal(2, [(3, 0), (1, 1), (0, 2)])
-        assert newton_facets_2d(J) == [(1, 1, 2), (1, 2, 3)]
+        assert newton_facets(J) == ((1, 1, 2), (1, 2, 3))
 
     def test_facets_support_all_gens(self):
         rnd = random.Random(5)
@@ -157,13 +175,46 @@ class TestNewtonFacets:
             gens.append((rnd.randint(1, 6), 0))
             gens.append((0, rnd.randint(1, 6)))
             I = MonomialIdeal(2, gens)
-            facets = newton_facets_2d(I)
+            facets = newton_facets(I)
             assert facets
             for w1, w2, c in facets:
                 # every generator on or above the facet, at least one on it
                 vals = [w1 * x + w2 * y for x, y in I.gens]
                 assert min(vals) >= c
                 assert c in vals
+
+
+    def test_hand_worked_3d(self):
+        # xyz lies above the plane 15x + 10y + 6z = 30 through the pure powers
+        I = MonomialIdeal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 5), (1, 1, 1)])
+        assert newton_facets(I) == ((15, 10, 6, 30),)
+        # xyz below x + y + z = 4 is a vertex: three facets through it
+        J = MonomialIdeal(3, [(4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)])
+        assert newton_facets(J) == ((1, 1, 2, 4), (1, 2, 1, 4), (2, 1, 1, 4))
+
+    def test_non_primary(self):
+        # (xy, x^3): x >= 1 and y-free part x^3 give the facets x >= 1, x + 2y >= 3
+        I = MonomialIdeal(2, [(1, 1), (3, 0)])
+        assert newton_facets(I) == ((1, 0, 1), (1, 2, 3))
+        assert newton_facets(MonomialIdeal(3, [(0, 2, 0)])) == ((0, 1, 0, 2),)
+        assert newton_facets(MonomialIdeal(1, [(3,)])) == ((1, 3),)
+
+    def test_random_facets_are_tight_and_primitive(self):
+        rnd = random.Random(17)
+        for n in (1, 2, 3, 4):
+            for _ in range(15):
+                I = random_ideal(rnd, n, 4)
+                for f in newton_facets(I):
+                    l, c = f[:-1], f[-1]
+                    assert min(l) >= 0 and c > 0
+                    assert math.gcd(*l) == 1
+                    assert c == min(sum(a * b for a, b in zip(l, g)) for g in I.gens)
+
+    def test_improper_rejected(self):
+        with pytest.raises(PreconditionError):
+            newton_facets(MonomialIdeal.unit(2))
+        with pytest.raises(PreconditionError):
+            newton_facets(MonomialIdeal.zero(3))
 
 
 class TestNpValue:
@@ -191,6 +242,18 @@ class TestNpValue:
         assert np_value(I, (1, 1, 1)).as_fraction() == Fraction(3, 2)
         M = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert np_value(M, (2, 3, 4)).as_int() == 9
+
+    def test_random_matches_lp_oracle(self):
+        rnd = random.Random(41)
+        for n in (1, 2, 3, 4):
+            for _ in range(12):
+                I = random_ideal(rnd, n, 4)
+                for _ in range(6):
+                    e = tuple(rnd.randint(0, 6) for _ in range(n))
+                    assert np_value(I, e).as_fraction() == np_value_lp(I.gens, e), (
+                        I,
+                        e,
+                    )
 
     def test_rejects_improper(self):
         with pytest.raises(PreconditionError):
@@ -284,6 +347,22 @@ class TestIntegralClosure:
         assert integral_closure(MonomialIdeal.zero(2)).is_zero
 
 
+    def test_sixth_power_3d_matches_oracle(self):
+        I = MonomialIdeal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 5), (1, 1, 1)])
+        I6 = I**6
+        c = integral_closure(I6)
+        # the closure is 6 NP(I) = {15x + 10y + 6z >= 180}
+        assert c == np_threshold_level(I, 6)
+        # boxes across that facet, with witness bounds that reach every member
+        for box, r_max in (((12, 0, 30), 6), ((6, 9, 15), 2)):
+            got = [
+                e
+                for e in itertools.product(*(range(b + 1) for b in box))
+                if c.contains_exponent(e)
+            ]
+            assert got and got == closure_members(I6.gens, box, r_max=r_max)
+
+
 class TestNpThresholdLevel:
     def test_threshold_one_is_closure(self):
         I = MonomialIdeal(2, [(2, 0), (0, 3)])
@@ -327,6 +406,29 @@ class TestNpThresholdLevel:
                     continue
                 want = np_value(I, e).as_fraction() >= t
                 assert inside == want, (gens, t, e)
+
+    def test_random_matches_box_membership(self):
+        # brute force: e is in the level iff its LP order is >= t (or > t);
+        # every minimal generator lies in the box ceil(3/2 max_g g_j) + 1
+        rnd = random.Random(57)
+        for n, count, hi in ((1, 6, 4), (2, 6, 4), (3, 6, 3), (4, 3, 2)):
+            for _ in range(count):
+                I = random_ideal(rnd, n, hi)
+                box = [
+                    math.ceil(Fraction(3, 2) * max(g[j] for g in I.gens)) + 1
+                    for j in range(n)
+                ]
+                order = {
+                    e: as_exact(np_value_lp(I.gens, e))
+                    for e in itertools.product(*(range(b + 1) for b in box))
+                }
+                for t in (as_exact(1), as_exact(Fraction(3, 2)), sqrt(2)):
+                    for strict in (False, True):
+                        L = np_threshold_level(I, t, strict)
+                        assert all(g in order for g in L.gens), (I, t, strict)
+                        for e, v in order.items():
+                            want = v > t if strict else v >= t
+                            assert L.contains_exponent(e) == want, (I, t, strict, e)
 
     def test_three_var_threshold(self):
         M = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])

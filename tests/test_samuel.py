@@ -31,7 +31,7 @@ from samfilt import (
 from samfilt.exactnum import as_exact, ceil_of
 from samfilt.valuation import MonomialValuation
 
-from oracles import adic_order
+from oracles import adic_order, np_value_lp
 
 BOX = MonomialIdeal(2, [(2, 0), (0, 3)])
 mono = SupportPoly.monomial
@@ -233,6 +233,43 @@ class TestIcFiltration:
         for m in range(1, 4):
             assert res.filtration.level(m) == integral_closure(BOX**m)
         assert res.inconclusive == {}
+
+    def test_adic_closure_level_without_the_power(self):
+        # closure(I^m) = {nubar >= m}, read off the facets of I; I^m is not built
+        rnd = random.Random(73)
+        for n in (2, 3):
+            for _ in range(8):
+                gens = [
+                    tuple(rnd.randint(0, 3) for _ in range(n))
+                    for _ in range(rnd.randint(1, 3))
+                ]
+                gens += [tuple(rnd.randint(1, 4) if k == j else 0 for k in range(n))
+                         for j in range(n)]
+                for m in range(1, 5):
+                    A = Adic(MonomialIdeal(n, gens))
+                    level, pending = A.closure_level(m, 1)
+                    assert pending == [] and m not in A._cache
+                    assert level == integral_closure(A.level(m)), (gens, m)
+
+    def test_twisted_3d_adic(self):
+        # J_m = {e : r*e in closure(I^ceil(3rm/2)) for some r <= 6}, which
+        # here reaches K_m = {nubar >= 3m/2}; checked point by point on a
+        # box holding every generator, with one LP per point
+        I = MonomialIdeal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 5), (1, 1, 1)])
+        alpha = Fraction(3, 2)
+        res = ic_filtration(twist(Adic(I), alpha), 2, r_max=6)
+        assert res.inconclusive == {}
+        box = (6, 9, 15)
+        order = {
+            e: np_value_lp(I.gens, e)
+            for e in itertools.product(*(range(b + 1) for b in box))
+        }
+        for m in (1, 2):
+            J = res.filtration.level(m)
+            assert all(g in order for g in J.gens)
+            for e, v in order.items():
+                witnessed = any(r * v >= ceil_of(alpha * r * m) for r in range(1, 7))
+                assert J.contains_exponent(e) == witnessed == (v >= alpha * m), (m, e)
 
     def test_adic_level_two_frozen(self):
         res = ic_filtration(Adic(BOX), 2)
