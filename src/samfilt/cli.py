@@ -24,6 +24,7 @@ from .equivalence import (
 from .errors import (
     HorizonExceededError,
     MixedRadicalError,
+    NotPrimaryError,
     ParseError,
     PreconditionError,
     SamfiltError,
@@ -241,8 +242,10 @@ def _cmd_mult(args):
         exact = multiplicity_exact(F)
     except MixedRadicalError as exc:  # the exact path exists but cannot finish
         why = "no exact multiplicity (%s)" % exc
-    except PreconditionError:  # no exact path for this engine or dimension
-        why = "no exact path for this engine/dimension"
+    except NotPrimaryError:  # every level has infinite colength: no estimate
+        raise
+    except PreconditionError:  # a table-rooted engine has no exact path
+        why = "no exact path for this engine"
     estimate = None
     series = None
     if args.n_max is not None:

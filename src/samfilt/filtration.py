@@ -19,13 +19,14 @@ every level).  Level results are cached per filtration; with the GIL a
 plain dict is safe for concurrent readers, at worst a level is computed
 twice.
 
-Each engine answers four questions by method: asymptotic_order (nubar
+Each engine answers five questions by method: asymptotic_order (nubar
 on a nonzero f), saturated_level (K_t = {nubar >= t} for t > 0),
 closure_level (the graded integral closure at level m >= 1, with the
-monomials no witness r <= r_max decides) and value_limit (lim v(I_n)/n).
-Twist answers them through its base, scaling by alpha there.  The
-Filtration defaults are the "bounds only" answers of a Table: the nubar
-estimator, no value limit, and PreconditionError for the levels.
+monomials no witness r <= r_max decides), value_limit (lim v(I_n)/n) and
+multiplicity (e = lim d! colength(I_n) / n^d).  Twist answers them through
+its base, scaling by alpha there.  The Filtration defaults are the "bounds
+only" answers of a Table: the nubar estimator, no value limit, and
+PreconditionError for the levels and the multiplicity.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
     ConstructionError,
     DimensionMismatchError,
     HorizonExceededError,
+    NotPrimaryError,
     ParseError,
     PreconditionError,
 )
@@ -55,7 +57,10 @@ from .monomial import (
     Exponent,
     MonomialIdeal,
     SupportPoly,
+    cone_rays,
     integral_closure,
+    newton_facets,
+    normalized_covolume,
     np_threshold_level,
     np_value,
 )
@@ -165,6 +170,10 @@ class Filtration:
         """Closed form of lim v(I_n)/n, or None."""
         return None
 
+    def multiplicity(self) -> ExactReal:
+        """e = lim d! colength(I_n) / n^d, exactly."""
+        raise PreconditionError(_BOUNDS_ONLY % "exact multiplicities")
+
     def _check_elem(self, f: SupportPoly) -> SupportPoly:
         if not isinstance(f, SupportPoly):
             raise PreconditionError("expected a SupportPoly")
@@ -257,6 +266,18 @@ class Adic(Filtration):
     def value_limit(self, v: MonomialValuation):
         return as_exact(v.value_of_ideal(self.ideal))
 
+    def multiplicity(self) -> ExactReal:
+        """d! covol(NP(I)) (Teissier 1988): 0 for the unit ideal."""
+        if self.ideal.is_unit:
+            return as_exact(0)
+        if not self.ideal.is_primary():
+            raise NotPrimaryError(
+                "infinite multiplicity: no pure power of some variable in %s"
+                % self.ideal
+            )
+        facets = [(f[:-1], f[-1]) for f in newton_facets(self.ideal)]
+        return normalized_covolume(self.ideal.gens, facets)
+
     def to_json(self) -> dict:
         return {"type": "adic", "ideal": self.ideal.to_json()}
 
@@ -322,6 +343,13 @@ class DiscreteValued(Filtration):
         if status != OPTIMAL:  # pragma: no cover - region is feasible/bounded
             raise PreconditionError("value LP did not solve: %s" % status)
         return value
+
+    def multiplicity(self) -> ExactReal:
+        """d! covol(P) for P = {x >= 0 : w_i . x >= a_i}.  The vertices of P
+        are x/s over the rays with s > 0 of {(x, s) >= 0 : w_i . x >= a_i s}."""
+        rays = cone_rays([v.w + (-a,) for v, a in self.pairs], self.n)
+        vertices = [tuple(x / r[-1] for x in r[:-1]) for r in rays if r[-1] != 0]
+        return normalized_covolume(vertices, [(v.w, a) for v, a in self.pairs])
 
     def to_json(self) -> dict:
         return {
@@ -392,6 +420,13 @@ class Twist(Filtration):
         inner = self.base.value_limit(v)
         return None if inner is None else self.alpha * inner
 
+    def multiplicity(self) -> ExactReal:
+        # level m is the base's level ceil(alpha m): colengths scale by alpha^d
+        e = self.base.multiplicity()
+        for _ in range(self.n):
+            e = e * self.alpha
+        return e
+
     def to_json(self) -> dict:
         return {
             "type": "twist",
@@ -449,6 +484,9 @@ class StairOneVar(Filtration):
 
     def value_limit(self, v: MonomialValuation):
         return as_exact(v.w[0]) * self.alpha
+
+    def multiplicity(self) -> ExactReal:
+        return self.alpha
 
     def to_json(self) -> dict:
         return {"type": "stair1", "alpha": format_scalar(self.alpha), "c": self.c}
@@ -624,11 +662,13 @@ def filtration_from_json(data: dict) -> Filtration:
             return StairOneVar(alpha, c)
         if kind == "table":
             horizon = data["horizon"]
-            if not isinstance(horizon, int):
+            if not isinstance(horizon, int) or isinstance(horizon, bool):
                 raise ParseError("'horizon' must be an integer")
-            levels = [
-                (m, MonomialIdeal.from_json(ideal)) for m, ideal in data["levels"]
-            ]
+            levels = []
+            for m, ideal in data["levels"]:
+                if not isinstance(m, int) or isinstance(m, bool):
+                    raise ParseError("level index %r is not an integer" % (m,))
+                levels.append((m, MonomialIdeal.from_json(ideal)))
             return Table(levels, horizon, validate=True)
     except KeyError as exc:
         raise ParseError("filtration JSON missing field %s" % exc) from exc

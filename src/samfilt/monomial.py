@@ -9,9 +9,11 @@ The Newton polyhedron of an ideal (convex hull of the generators plus the
 positive orthant) drives integral closures: a monomial lies in the integral
 closure of I^m exactly when its exponent lies in m times the polyhedron.
 The facets of the polyhedron are enumerated once per ideal, exactly and in
-any dimension; the order np_value, the saturated levels np_threshold_level
-and the integral closure all read them.  system_level, the monomial ideal
-cut out by linear inequalities, turns facet rows into generators.
+any dimension, by the double description cone_rays; the order np_value,
+the saturated levels np_threshold_level and the integral closure all read
+them.  normalized_covolume measures what such a polyhedron leaves of the
+orthant, which is the multiplicity.  system_level, the monomial ideal cut
+out by linear inequalities, turns facet rows into generators.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ class MonomialIdeal:
             gens = data["gens"]
         except (TypeError, KeyError) as exc:
             raise ParseError("ideal JSON needs 'n' and 'gens'") from exc
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ParseError("ideal JSON: 'n' must be a positive integer")
         if not isinstance(gens, list):
             raise ParseError("ideal JSON: 'gens' must be a list")
@@ -291,39 +293,27 @@ class SupportPoly:
 # -- Newton polyhedron ------------------------------------------------
 
 
-def newton_facets(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
-    """Facet inequalities (l1, ..., ln, c): NP(I) = {e : l . e >= c, all}.
+def cone_rays(rows: Sequence[Sequence], n: int) -> list[tuple]:
+    """Extreme rays of the cone {y >= 0 in R^(n+1) : r . y >= 0, every row r}.
 
-    Normals are primitive with nonnegative entries, c is the least value
-    of l over the generators and is positive; facets with c = 0 are implied
-    by e >= 0 and left out.  Sorted lexicographically; computed once per
-    ideal object, on the first call.
-
-    The normals l/c are the vertices of the blocker {u >= 0 : u . g >= 1
-    for every generator g}, enumerated by double description (Motzkin et
-    al. 1953; Fukuda & Prodon 1996) on the cone {(u, s) >= 0 : g . u >= s}
-    in integer arithmetic: rays start as the unit vectors and each
-    generator cuts them in turn, new rays coming from adjacent pairs on
-    opposite sides.  Two rays are adjacent when no third ray is tight at
-    every constraint tight at both.
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): the rays
+    start as the unit vectors and each row cuts them in turn, new rays coming
+    from adjacent pairs on opposite sides.  Two rays are adjacent when no
+    third ray is tight at every constraint tight at both.  Integer rows give
+    integer rays divided by their gcd; rows with exact real entries give rays
+    scaled to a leading 1.
     """
-    facets = getattr(ideal, "_facets", None)
-    if facets is not None:
-        return facets
-    if not ideal.is_proper_nonzero:
-        raise PreconditionError("facets need a proper nonzero ideal")
-    n = ideal.n
-    # a ray is (coordinates (u1..un, s), bitmask of the constraints tight at it)
-    full = (1 << (n + 1)) - 1  # bits 0..n: the sign constraints u >= 0, s >= 0
+    # a ray is (coordinates, bitmask of the constraints tight at it)
+    full = (1 << (n + 1)) - 1  # bits 0..n: the sign constraints y >= 0
     rays = [
         (tuple(int(i == j) for i in range(n + 1)), full ^ (1 << j))
         for j in range(n + 1)
     ]
-    for k, g in enumerate(ideal.gens):
+    for k, row in enumerate(rows):
         bit = 1 << (n + 1 + k)
         pos, neg, keep = [], [], []
         for ray in rays:
-            a = sum(map(operator.mul, g, ray[0])) - ray[0][n]  # g . u - s
+            a = sum(map(operator.mul, row, ray[0]))
             if a > 0:
                 pos.append((ray, a))
                 keep.append(ray)
@@ -338,11 +328,37 @@ def newton_facets(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
             ):
                 continue
             v = [aq * x + ap * y for x, y in zip(p[0], q[0])]
-            d = math.gcd(*v)
-            keep.append((tuple(x // d for x in v), common | bit))
+            if isinstance(v[0], int):
+                d = math.gcd(*v)
+                v = [x // d for x in v]
+            else:
+                lead = next(x for x in v if x != 0)
+                v = [x / lead for x in v]
+            keep.append((tuple(v), common | bit))
         rays = keep
+    return [v for v, _ in rays]
+
+
+def newton_facets(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
+    """Facet inequalities (l1, ..., ln, c): NP(I) = {e : l . e >= c, all}.
+
+    Normals are primitive with nonnegative entries, c is the least value
+    of l over the generators and is positive; facets with c = 0 are implied
+    by e >= 0 and left out.  Sorted lexicographically; computed once per
+    ideal object, on the first call.
+
+    The normals l/c are the vertices of the blocker {u >= 0 : u . g >= 1
+    for every generator g}: the rays with s > 0 of the cone
+    {(u, s) >= 0 : g . u >= s}, in integer arithmetic.
+    """
+    facets = getattr(ideal, "_facets", None)
+    if facets is not None:
+        return facets
+    if not ideal.is_proper_nonzero:
+        raise PreconditionError("facets need a proper nonzero ideal")
+    n = ideal.n
     facets = []
-    for v, _ in rays:
+    for v in cone_rays([g + (-1,) for g in ideal.gens], n):
         if v[n]:  # s > 0: a vertex of the blocker, not a direction
             d = math.gcd(*v[:n])
             l = tuple(x // d for x in v[:n])
@@ -350,6 +366,67 @@ def newton_facets(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     facets = tuple(sorted(facets))
     object.__setattr__(ideal, "_facets", facets)
     return facets
+
+
+def normalized_covolume(
+    points: Sequence[Sequence], facets: Iterable[tuple[Sequence[int], object]]
+) -> ExactReal:
+    """d! times the volume of the part of the orthant outside a polyhedron P.
+
+    P lies in the orthant, P + orthant = P, and its complement there is
+    bounded.  points holds every vertex of P (other points of P may be
+    among them); facets holds inequalities (l, c), l . x >= c, valid on P
+    and including every facet of P with c > 0.  The coordinate planes are
+    added here.
+
+    The complement is the union of the cones from the origin over the
+    facets with c > 0, so d! times its volume is the sum of
+    |det(v_1, ..., v_d)| over a pulling triangulation of those facets
+    (Büeler, Enge & Fukuda 2000).  A face is the set of points on it; the
+    facets of a face are the maximal proper nonempty sets among its
+    intersections with the tight sets of the inequalities.
+    """
+    d = len(points[0])
+    rows = list(facets) + [(tuple(int(i == j) for i in range(d)), 0) for j in range(d)]
+    tight = [
+        sum(1 << i for i, p in enumerate(points) if sum(map(operator.mul, l, p)) == c)
+        for l, c in rows
+    ]
+    total = as_exact(0)
+    # (face, points pulled so far): each step goes one dimension down, so a
+    # facet with c > 0 ends in simplices of d points, while a lower face
+    # (cut by a redundant inequality) runs out of subfaces first
+    stack = [(t, ()) for t in {t for t, (_, c) in zip(tight, rows) if c > 0 and t}]
+    while stack:
+        face, chain = stack.pop()
+        apex = (face & -face).bit_length() - 1
+        chain += (points[apex],)
+        if len(chain) == d:
+            total = total + abs(_det(chain))
+            continue
+        subs = {face & t for t in tight} - {face, 0}
+        for sub in subs:
+            if not sub >> apex & 1 and not any(s != sub and s & sub == sub for s in subs):
+                stack.append((sub, chain))
+    return total
+
+
+def _det(rows: Sequence[Sequence]) -> ExactReal:
+    """Exact determinant by Gaussian elimination."""
+    m = [[as_exact(x) for x in r] for r in rows]
+    det = as_exact(1)
+    for j in range(len(m)):
+        piv = next((i for i in range(j, len(m)) if not m[i][j].is_zero()), None)
+        if piv is None:
+            return as_exact(0)
+        if piv != j:
+            m[j], m[piv] = m[piv], m[j]
+            det = -det
+        det = det * m[j][j]
+        for i in range(j + 1, len(m)):
+            f = m[i][j] / m[j][j]
+            m[i] = [a - f * b for a, b in zip(m[i], m[j])]
+    return det
 
 
 def np_value(ideal: MonomialIdeal, e: Sequence[int]) -> ExactReal:

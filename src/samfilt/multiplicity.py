@@ -1,12 +1,13 @@
 """Multiplicity, colength and per-valuation values of filtrations.
 
 For a filtration whose levels are primary to the maximal monomial ideal,
-e(F) = lim colength(I_n) * d! / n^d.  For discrete valued filtrations in
-d <= 3 variables the limit is d! times the Euclidean volume of the
-region {x >= 0 : min_i w_i.x/a_i < 1}, computed exactly by
-inclusion-exclusion over the cut simplices; every other engine goes
-through normalized lattice counts (an approximation with no error bound
-claimed).
+e(F) = lim colength(I_n) * d! / n^d.  Every exact engine knows it in
+closed form, in any dimension (Filtration.multiplicity): d! times the
+covolume of the Newton polyhedron for adic filtrations, and of
+{x >= 0 : w_i.x >= a_i} for discrete valued ones, from one exact
+triangulation.  multiplicity_estimate gives the normalized lattice counts
+along the levels of any engine, tables included (an approximation with no
+error bound claimed).
 
 filtration_value(v, F, n_max) is the limit of v(I_n)/n, an infimum; the
 running minimum over n <= n_max is always a valid upper bound, and a
@@ -18,10 +19,8 @@ out by monomial valuations at their filtration values.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import factorial
 
 from . import _kernels
@@ -29,7 +28,7 @@ from .errors import NotPrimaryError, PreconditionError
 from .exactnum import INF, ExactReal, PlusInfinity, as_exact, format_scalar
 from .filtration import DiscreteValued, Filtration
 from .monomial import MonomialIdeal
-from .valuation import MonomialValuation, primitive_pair, system_level
+from .valuation import MonomialValuation, system_level
 
 
 def colength(I: MonomialIdeal) -> int:
@@ -56,174 +55,14 @@ def _colength_rec(n, gens) -> int:
     return total
 
 
-def _solve_square(rows, rhs):
-    """Cramer solve for d <= 3 with exact scalars; None if singular."""
-    d = len(rows)
-    if d == 1:
-        if rows[0][0].is_zero():
-            return None
-        return (rhs[0] / rows[0][0],)
-    if d == 2:
-        (a, b), (c, e) = rows
-        det = a * e - b * c
-        if det.is_zero():
-            return None
-        x = (rhs[0] * e - b * rhs[1]) / det
-        y = (a * rhs[1] - rhs[0] * c) / det
-        return (x, y)
-    det = _det3(rows)
-    if det.is_zero():
-        return None
-    out = []
-    for j in range(3):
-        col = [list(r) for r in rows]
-        for i in range(3):
-            col[i][j] = rhs[i]
-        out.append(_det3(col) / det)
-    return tuple(out)
+def multiplicity_exact(F: Filtration) -> ExactReal:
+    """e(F), exactly: the engine's closed form (see Filtration.multiplicity).
 
-
-def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def _region_vertices(cuts, d):
-    """Vertices of {x >= 0 : w.x <= rhs for (w, rhs) in cuts}, exactly.
-
-    The region is a bounded convex polytope containing the origin (all
-    weights and right-hand sides are positive).
+    Raises PreconditionError for engines with bounds only, NotPrimaryError
+    for a non-primary adic filtration and MixedRadicalError when the value
+    lies in no single quadratic field.
     """
-    zero, one = as_exact(0), as_exact(1)
-    planes = [(tuple(w), rhs) for w, rhs in cuts]
-    planes += [
-        (tuple(one if j == t else zero for t in range(d)), zero) for j in range(d)
-    ]
-    verts = {}
-    for combo in itertools.combinations(range(len(planes)), d):
-        rows = [list(planes[i][0]) for i in combo]
-        rhs = [planes[i][1] for i in combo]
-        x = _solve_square(rows, rhs)
-        if x is None:
-            continue
-        if any(c < zero for c in x):
-            continue
-        if any(_dot(w, x) > r for w, r in planes[: len(cuts)]):
-            continue
-        verts[x] = True
-    return list(verts)
-
-
-def _dot(w, x):
-    total = None
-    for a, b in zip(w, x):
-        term = a * b
-        total = term if total is None else total + term
-    return total
-
-
-def _ccw_sort(points, center):
-    """Counterclockwise cyclic order around center, by exact sign tests."""
-
-    def half(p):
-        dy = p[1] - center[1]
-        s = dy.sign()
-        if s > 0:
-            return 0
-        if s < 0:
-            return 1
-        return 0 if (p[0] - center[0]).sign() > 0 else 1
-
-    def cmp(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cross = (p[0] - center[0]) * (q[1] - center[1]) - (p[1] - center[1]) * (
-            q[0] - center[0]
-        )
-        return -cross.sign()
-
-    return sorted(points, key=cmp_to_key(cmp))
-
-
-def _polygon_area(verts):
-    if len(verts) < 3:
-        return as_exact(0)
-    k = as_exact(len(verts))
-    cx = sum((v[0] for v in verts[1:]), verts[0][0]) / k
-    cy = sum((v[1] for v in verts[1:]), verts[0][1]) / k
-    ordered = _ccw_sort(verts, (cx, cy))
-    total = as_exact(0)
-    for (x0, y0), (x1, y1) in zip(ordered, ordered[1:] + ordered[:1]):
-        total = total + (x0 * y1 - x1 * y0)
-    two = as_exact(2)
-    area = total / two
-    return area if area.sign() >= 0 else -area
-
-
-def _region_volume(cuts, d) -> ExactReal:
-    """Exact volume of {x >= 0 : w.x <= rhs for all cuts}, d <= 3."""
-    zero = as_exact(0)
-    if d == 1:
-        best = None
-        for w, rhs in cuts:
-            c = rhs / w[0]
-            if best is None or c < best:
-                best = c
-        return best
-    verts = _region_vertices(cuts, d)
-    if d == 2:
-        return _polygon_area(verts)
-    # d = 3: cone the facet polygons over the origin; facets through the
-    # origin contribute zero volume so only the cut planes matter
-    six = as_exact(6)
-    total = zero
-    for w, rhs in cuts:
-        incident = [v for v in verts if _dot(w, v) == rhs]
-        if len(incident) < 3:
-            continue
-        drop = max(range(3), key=lambda j: w[j])  # project out one axis
-        keep = [j for j in range(3) if j != drop]
-        flat = [(v[keep[0]], v[keep[1]]) for v in incident]
-        k = as_exact(len(flat))
-        cx = sum((p[0] for p in flat[1:]), flat[0][0]) / k
-        cy = sum((p[1] for p in flat[1:]), flat[0][1]) / k
-        order = _ccw_sort(flat, (cx, cy))
-        lookup = {f: v for f, v in zip(flat, incident)}
-        ring = [lookup[f] for f in order]
-        v0 = ring[0]
-        for v1, v2 in zip(ring[1:], ring[2:]):
-            det = _det3([list(v0), list(v1), list(v2)])
-            total = total + (det if det.sign() >= 0 else -det) / six
-    return total
-
-
-def multiplicity_exact(F: DiscreteValued) -> ExactReal:
-    """d! times the volume of the complement region, for d <= 3.
-
-    Inclusion-exclusion over the simplices S_i = {x >= 0 : w_i.x < a_i}:
-    the region below the filtration is their union.
-    """
-    if not isinstance(F, DiscreteValued):
-        raise PreconditionError("exact multiplicity implemented for discrete "
-                                "valued filtrations")
-    d = F.n
-    if d > 3:
-        raise PreconditionError(
-            "exact volume limited to dimension <= 3; use multiplicity_estimate"
-        )
-    # pairs cutting the same plane would count its facet once per copy
-    pairs = list(dict.fromkeys(primitive_pair(v, a) for v, a in F.pairs))
-    total = as_exact(0)
-    for size in range(1, len(pairs) + 1):
-        for combo in itertools.combinations(pairs, size):
-            cuts = [(tuple(as_exact(c) for c in v.w), a) for v, a in combo]
-            vol = _region_volume(cuts, d)
-            total = total + (vol if size % 2 == 1 else -vol)
-    return total * factorial(d)
+    return F.multiplicity()
 
 
 @dataclass

@@ -4,12 +4,17 @@ Everything here is deliberately naive: membership by definition-chasing
 and exhaustive enumeration, no shared code with the library's algorithms
 beyond the public data types.  The one exception is np_value_lp, which
 solves its linear program with the library's exact simplex (tested on its
-own in test_linprog).
+own in test_linprog).  dv_multiplicity_ie, the inclusion-exclusion the
+library used for discrete valued multiplicities in d <= 3 before the
+covolume triangulation, computes in the library's exact scalars.
 """
 
 import itertools
 from fractions import Fraction
-from math import ceil, gcd
+from functools import cmp_to_key
+from math import ceil, factorial, gcd
+
+from samfilt.exactnum import as_exact
 
 from samfilt._linprog import OPTIMAL, simplex_max
 
@@ -183,3 +188,141 @@ def np_value_lp(gens, e):
     status, value, _ = simplex_max(c, A, b, zero=zero, one=one)
     assert status == OPTIMAL, status
     return value
+
+
+# -- discrete valued multiplicity by inclusion-exclusion (d <= 3) -------
+
+
+def _solve_square(rows, rhs):
+    """Cramer solve for d <= 3 with exact scalars; None if singular."""
+    d = len(rows)
+    if d == 1:
+        if rows[0][0].is_zero():
+            return None
+        return (rhs[0] / rows[0][0],)
+    if d == 2:
+        (a, b), (c, e) = rows
+        det = a * e - b * c
+        if det.is_zero():
+            return None
+        return ((rhs[0] * e - b * rhs[1]) / det, (a * rhs[1] - rhs[0] * c) / det)
+    det = _det3(rows)
+    if det.is_zero():
+        return None
+    out = []
+    for j in range(3):
+        col = [list(r) for r in rows]
+        for i in range(3):
+            col[i][j] = rhs[i]
+        out.append(_det3(col) / det)
+    return tuple(out)
+
+
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def _dot(w, x):
+    total = as_exact(0)
+    for a, b in zip(w, x):
+        total = total + a * b
+    return total
+
+
+def _region_vertices(cuts, d):
+    """Vertices of {x >= 0 : w.x <= rhs for (w, rhs) in cuts}: every
+    d-subset of the planes, solved, kept when feasible."""
+    zero, one = as_exact(0), as_exact(1)
+    planes = list(cuts) + [
+        (tuple(one if j == t else zero for t in range(d)), zero) for j in range(d)
+    ]
+    verts = {}
+    for combo in itertools.combinations(planes, d):
+        x = _solve_square([list(w) for w, _ in combo], [r for _, r in combo])
+        if x is None or any(c < zero for c in x):
+            continue
+        if any(_dot(w, x) > r for w, r in cuts):
+            continue
+        verts[x] = True
+    return list(verts)
+
+
+def _ccw_sort(points, center):
+    """Counterclockwise cyclic order around center, by exact sign tests."""
+
+    def half(p):
+        s = (p[1] - center[1]).sign()
+        if s:
+            return 0 if s > 0 else 1
+        return 0 if (p[0] - center[0]).sign() > 0 else 1
+
+    def cmp(p, q):
+        hp, hq = half(p), half(q)
+        if hp != hq:
+            return -1 if hp < hq else 1
+        cross = (p[0] - center[0]) * (q[1] - center[1]) - (p[1] - center[1]) * (
+            q[0] - center[0]
+        )
+        return -cross.sign()
+
+    return sorted(points, key=cmp_to_key(cmp))
+
+
+def _centre(points):
+    k = as_exact(len(points))
+    return tuple(sum((p[j] for p in points[1:]), points[0][j]) / k for j in range(2))
+
+
+def _region_volume(cuts, d):
+    """Exact volume of {x >= 0 : w.x <= rhs for all cuts}, d <= 3."""
+    if d == 1:
+        return min(rhs / w[0] for w, rhs in cuts)
+    verts = _region_vertices(cuts, d)
+    if d == 2:
+        if len(verts) < 3:
+            return as_exact(0)
+        ring = _ccw_sort(verts, _centre(verts))
+        twice = as_exact(0)
+        for (x0, y0), (x1, y1) in zip(ring, ring[1:] + ring[:1]):
+            twice = twice + (x0 * y1 - x1 * y0)
+        return abs(twice) / 2
+    # d = 3: cone each cut facet over the origin, fanned from one vertex
+    total = as_exact(0)
+    for w, rhs in cuts:
+        incident = [v for v in verts if _dot(w, v) == rhs]
+        if len(incident) < 3:
+            continue
+        drop = max(range(3), key=lambda j: w[j])  # project out one axis
+        keep = [j for j in range(3) if j != drop]
+        flat = {(v[keep[0]], v[keep[1]]): v for v in incident}
+        ring = [flat[f] for f in _ccw_sort(list(flat), _centre(list(flat)))]
+        for v1, v2 in zip(ring[1:], ring[2:]):
+            total = total + abs(_det3([ring[0], v1, v2])) / 6
+    return total
+
+
+def dv_multiplicity_ie(pairs):
+    """d! vol{x >= 0 : w_i.x < a_i for some i} for d <= 3, by
+    inclusion-exclusion over the simplices {x >= 0 : w_i.x < a_i}.
+
+    pairs are (w, a) with positive integer w and exact positive a; pairs
+    on the same plane (equal after dividing by gcd(w)) are merged first.
+    Exponential in the number of distinct planes."""
+    planes = {}
+    for w, a in pairs:
+        g = 0
+        for x in w:
+            g = gcd(g, x)
+        planes[tuple(as_exact(x // g) for x in w), as_exact(a) / g] = True
+    d = len(pairs[0][0])
+    planes = list(planes)
+    total = as_exact(0)
+    for size in range(1, len(planes) + 1):
+        for combo in itertools.combinations(planes, size):
+            vol = _region_volume(combo, d)
+            total = total + (vol if size % 2 else -vol)
+    return total * factorial(d)

@@ -302,9 +302,24 @@ class TestMult:
         assert lines[1] == "1,1,2"
         assert len(lines) == 21
 
-    def test_estimate_only_for_adic(self, run, files):
+    def test_exact_and_estimate_for_adic(self, run, files):
         rc, out, _ = run("mult", "-f", files["adic"], "--n-max", "10")
-        assert rc == 0 and out == "estimate(n=10) = 33/5\n"
+        assert rc == 0 and out == "exact = 6/1\nestimate(n=10) = 33/5\n"
+
+    def test_table_needs_n_max(self, run, files):
+        rc, out, err = run("mult", "-f", files["table2"])
+        assert rc == 3 and out == ""
+        assert "no exact path for this engine; pass --n-max" in err
+        assert "dimension" not in err
+
+    def test_not_primary_adic(self, run, tmp_path):
+        # every level has infinite colength: --n-max cannot help either
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"type": "adic", "ideal": {"n": 2, "gens": [[1, 1]]}}))
+        for extra in ((), ("--n-max", "5")):
+            rc, out, err = run("mult", "-f", str(path), *extra)
+            assert rc == 3 and out == ""
+            assert "no pure power" in err and "--n-max" not in err
 
     def test_json(self, run, files):
         doc = run_json(run, "mult", "-f", files["dv"], "--n-max", "4")
@@ -455,6 +470,22 @@ class TestErrorHandling:
     def test_bad_alpha_exit_2(self, run, files):
         rc, _, err = run("twist", "-f", files["dv"], "--alpha", "1.5")
         assert rc == 2 and "parse error" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"type": "adic", "ideal": {"n": True, "gens": [[2]]}},
+            {"type": "table", "horizon": True, "levels": [[1, {"n": 1, "gens": [[2]]}]]},
+            {"type": "table", "horizon": 1, "levels": [[True, {"n": 1, "gens": [[2]]}]]},
+            {"type": "table", "horizon": 1, "levels": [[1.0, {"n": 1, "gens": [[2]]}]]},
+            {"type": "stair1", "alpha": "1/1", "c": True},
+        ],
+    )
+    def test_json_integer_fields_reject_bools_and_floats(self, run, tmp_path, doc):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run("nu", "-f", str(path), "--monomial", "3", "--json")
+        assert rc == 2 and out == "" and "parse error" in err
 
     def test_seed_flag_accepted(self, run, files):
         rc, out, _ = run(

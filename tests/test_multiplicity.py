@@ -15,7 +15,12 @@ from samfilt import (
     Twist,
     sqrt,
 )
-from samfilt.monomial import MonomialIdeal, integral_closure, np_threshold_level
+from samfilt.monomial import (
+    MonomialIdeal,
+    integral_closure,
+    newton_facets,
+    np_threshold_level,
+)
 from samfilt.multiplicity import (
     colength,
     filtration_value,
@@ -25,7 +30,7 @@ from samfilt.multiplicity import (
 )
 from samfilt.valuation import MonomialValuation
 
-from oracles import brute_colength, dv_level_members, minimal_points
+from oracles import brute_colength, dv_level_members, dv_multiplicity_ie, minimal_points
 
 
 def P(w, a):
@@ -147,13 +152,94 @@ class TestMultiplicityExact:
         val, _ = multiplicity_estimate(F, 240)
         assert abs(val - Fraction(2, 3)) < Fraction(1, 50)
 
-    def test_four_vars_rejected(self):
-        with pytest.raises(PreconditionError):
-            multiplicity_exact(DV(((1, 1, 1, 1), 1)))
+    def test_four_vars(self):
+        # one pair: a^d / prod(w); a pair implied by another changes nothing
+        assert multiplicity_exact(DV(((1, 1, 1, 1), 1))).as_fraction() == 1
+        assert multiplicity_exact(DV(((1, 2, 3, 4), 2))).as_fraction() == Fraction(2, 3)
+        F = DV(((1, 1, 1, 1), 1), ((2, 1, 1, 1), 1))
+        assert multiplicity_exact(F).as_fraction() == 1
+        # 24 (1/48 + 1/48 - 1/72): the cut x2 + x3 = s leaves a quadrilateral
+        # of area (1 - s)^2 / 6 in the common part
+        F = DV(((1, 1, 1, 2), 1), ((2, 1, 1, 1), 1))
+        assert multiplicity_exact(F).as_fraction() == Fraction(2, 3)
+        # the normalized colengths come down towards it from above
+        est6, _ = multiplicity_estimate(F, 6)
+        est12, _ = multiplicity_estimate(F, 12)
+        assert est6 > est12 > Fraction(2, 3)
 
-    def test_non_dv_rejected(self):
-        with pytest.raises(PreconditionError):
-            multiplicity_exact(Adic(BOX))
+    def test_only_tables_rejected(self):
+        tab = Table({1: MonomialIdeal(2, [(1, 0), (0, 1)])}, 1)
+        for F in (tab, Twist(tab, 2)):
+            with pytest.raises(PreconditionError, match="exact engine"):
+                multiplicity_exact(F)
+        assert multiplicity_exact(Adic(BOX)).as_fraction() == 6
+
+    def test_random_matches_inclusion_exclusion(self):
+        rnd = random.Random(601)
+        for case in range(60):
+            d = 1 + case % 3
+            pairs = [
+                (
+                    tuple(rnd.randint(1, 5) for _ in range(d)),
+                    Fraction(rnd.randint(1, 6), rnd.randint(1, 3)),
+                )
+                for _ in range(rnd.randint(1, 6 if d < 3 else 4))
+            ]
+            if case % 4 == 0:
+                pairs = [(w, a * sqrt(2)) for w, a in pairs]
+            got = multiplicity_exact(DV(*pairs))
+            assert got == dv_multiplicity_ie(pairs), pairs
+
+
+class TestMultiplicityEngines:
+    def test_adic_hand_worked(self):
+        cases = [
+            (2, [(2, 0), (0, 3)], 6),
+            (2, [(4, 0), (2, 1), (1, 3), (0, 5)], 14),
+            (3, [(2, 0, 0), (0, 3, 0), (0, 0, 5), (1, 1, 1)], 30),
+            (1, [(5,)], 5),
+        ]
+        for n, gens, want in cases:
+            assert multiplicity_exact(Adic(MonomialIdeal(n, gens))) == want, gens
+
+    def test_adic_maximal_ideal_powers(self):
+        for d in range(1, 5):
+            for k in range(1, 4):
+                gens = [e for e in itertools.product(range(k + 1), repeat=d) if sum(e) == k]
+                assert multiplicity_exact(Adic(MonomialIdeal(d, gens))) == k**d, (d, k)
+
+    def test_adic_unit_and_not_primary(self):
+        assert multiplicity_exact(Adic(MonomialIdeal.unit(2))) == 0
+        for I in (MonomialIdeal(2, [(1, 1)]), MonomialIdeal(2, [(2, 0)]), MonomialIdeal.zero(2)):
+            with pytest.raises(NotPrimaryError):
+                multiplicity_exact(Adic(I))
+
+    def test_adic_equals_dv_on_its_newton_polyhedron(self):
+        # NP(I) = {x >= 0 : l . x >= c over the facets}, with l > 0 when I is
+        # primary, so both engines see the same polyhedron
+        rnd = random.Random(607)
+        for case in range(45):
+            n = 2 + case % 3
+            gens = [tuple(rnd.randint(1, 6) if k == j else 0 for k in range(n)) for j in range(n)]
+            gens += [tuple(rnd.randint(0, 4) for _ in range(n)) for _ in range(rnd.randint(0, 4))]
+            I = MonomialIdeal(n, gens)
+            if I.is_unit:
+                continue
+            F = DiscreteValued(
+                [(MonomialValuation(f[:-1]), f[-1]) for f in newton_facets(I)]
+            )
+            assert multiplicity_exact(Adic(I)) == multiplicity_exact(F), gens
+
+    def test_twist_scales_by_alpha_to_the_d(self):
+        assert multiplicity_exact(Twist(DV(((1, 1, 1), 1)), Fraction(3, 2))) == Fraction(27, 8)
+        assert multiplicity_exact(Twist(Adic(BOX), sqrt(2))) == 12
+        inner = Twist(DV(((1, 2), 1), ((2, 1), 1)), 2)
+        assert multiplicity_exact(Twist(inner, Fraction(1, 3))) == Fraction(2, 3) * Fraction(4, 9)
+
+    def test_stair_is_alpha(self):
+        assert multiplicity_exact(StairOneVar(Fraction(3, 2), 1)) == Fraction(3, 2)
+        assert multiplicity_exact(StairOneVar(sqrt(2), 0)) == sqrt(2)
+        assert multiplicity_exact(Twist(StairOneVar(Fraction(3, 2), 1), 2)) == 3
 
 
 class TestMultiplicityEstimate:
