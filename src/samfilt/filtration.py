@@ -21,12 +21,15 @@ twice.
 
 Each engine answers five questions by method: asymptotic_order (nubar
 on a nonzero f), saturated_level (K_t = {nubar >= t} for t > 0),
-closure_level (the graded integral closure at level m >= 1, with the
-monomials no witness r <= r_max decides), value_limit (lim v(I_n)/n) and
-multiplicity (e = lim d! colength(I_n) / n^d).  Twist answers them through
-its base, scaling by alpha there.  The Filtration defaults are the "bounds
-only" answers of a Table: the nubar estimator, no value limit, and
-PreconditionError for the levels and the multiplicity.
+closure_union ({e : r*e in closure(I_k) for some given (r, k)}),
+value_limit (lim v(I_n)/n) and multiplicity (lim d! colength(I_n) / n^d).
+Twist answers them through its base, scaling by alpha there.  The
+Filtration defaults are the "bounds only" answers of a Table: the nubar
+estimator, no value limit, and PreconditionError for the levels and the
+multiplicity.  closure_level(m, r_max), the graded integral closure, is
+closure_union over the witnesses (r, r*m), r <= r_max, with the monomials
+of K_m outside it pending; Adic, DiscreteValued and StairOneVar override
+it with closed forms exact over every r.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from .monomial import (
     MonomialIdeal,
     SupportPoly,
     cone_rays,
-    integral_closure,
     newton_facets,
     normalized_covolume,
     np_threshold_level,
@@ -134,7 +136,6 @@ class Filtration:
     question methods that have closed forms for them."""
 
     n: int
-    exact = False  # whether the question methods have closed forms
 
     def __init__(self):
         self._cache: dict[int, MonomialIdeal] = {}
@@ -162,9 +163,16 @@ class Filtration:
         """{e : nubar(x^e) >= t} for t > 0."""
         raise PreconditionError(_BOUNDS_ONLY % "saturated levels")
 
-    def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
-        """Graded integral closure at level m >= 1, with undecided monomials."""
+    def closure_union(self, pairs) -> MonomialIdeal:
+        """{e : r*e in closure(level k) for some (r, k) in pairs}, k >= 1."""
         raise PreconditionError(_BOUNDS_ONLY % "integral closure levels")
+
+    def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
+        """Graded integral closure at level m >= 1 over the witnesses
+        r <= r_max, and the monomials of K_m no such witness decides."""
+        level = self.closure_union((r, r * m) for r in range(1, r_max + 1))
+        saturated = self.saturated_level(m)
+        return level, [e for e in saturated.gens if not level.contains_exponent(e)]
 
     def value_limit(self, v: MonomialValuation):
         """Closed form of lim v(I_n)/n, or None."""
@@ -187,8 +195,6 @@ class Filtration:
 
 class Adic(Filtration):
     """Powers of a fixed monomial ideal."""
-
-    exact = True
 
     def __init__(self, ideal: MonomialIdeal):
         super().__init__()
@@ -258,9 +264,13 @@ class Adic(Filtration):
             return MonomialIdeal.zero(self.n)
         return np_threshold_level(self.ideal, t)
 
+    def closure_union(self, pairs) -> MonomialIdeal:
+        # closure(I^k) = {nubar >= k} and nubar is positively homogeneous,
+        # so the union is one saturated level, at the least k/r
+        return self.saturated_level(min(as_exact(k) / r for r, k in pairs))
+
     def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
-        # closure(I^m) = m * NP(I) = {nubar >= m}, read off the facets of I
-        # without building I^m; it absorbs every higher witness r
+        # closure(I^m) = {nubar >= m}, with no I^m built, absorbs every r
         return self.saturated_level(m), []
 
     def value_limit(self, v: MonomialValuation):
@@ -287,8 +297,6 @@ class Adic(Filtration):
 
 class DiscreteValued(Filtration):
     """Intersections of valuation ideals with per-valuation scales a_i."""
-
-    exact = True
 
     def __init__(self, pairs: Iterable[tuple[MonomialValuation, object]]):
         super().__init__()
@@ -328,6 +336,10 @@ class DiscreteValued(Filtration):
     def saturated_level(self, t) -> MonomialIdeal:
         # valuation-cut levels: level m is the saturated level at t = m
         return system_level(self.n, [(v.w, a * t, False) for v, a in self.pairs])
+
+    def closure_union(self, pairs) -> MonomialIdeal:
+        # level k is closed and equal to {nubar >= k}, as for Adic
+        return self.saturated_level(min(as_exact(k) / r for r, k in pairs))
 
     def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
         # valuation-cut levels are integrally closed and the chain collapses
@@ -374,7 +386,6 @@ class Twist(Filtration):
         self.base = base
         self.alpha = alpha
         self.n = base.n
-        self.exact = base.exact
 
     def _level(self, m: int) -> MonomialIdeal:
         return self.base.level(ceil_mul(self.alpha, m))
@@ -399,22 +410,8 @@ class Twist(Filtration):
     def saturated_level(self, t) -> MonomialIdeal:
         return self.base.saturated_level(self.alpha * t)
 
-    def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
-        """Monomials e with r*e in closure(level(r*m)) for some r <= r_max;
-        the generators of the saturated level outside them are pending.
-
-        The minimal such e are exactly the componentwise ceilings g/r over
-        generators g of the closures, so the search is a finite union.
-        """
-        if not self.exact:  # refuse before building any level of a table
-            return super().closure_level(m, r_max)
-        saturated = self.saturated_level(m)
-        cand = set()
-        for r in range(1, r_max + 1):
-            for g in integral_closure(self.level(r * m)).gens:
-                cand.add(tuple(-(-x // r) for x in g))
-        level = MonomialIdeal(self.n, cand)
-        return level, [e for e in saturated.gens if not level.contains_exponent(e)]
+    def closure_union(self, pairs) -> MonomialIdeal:
+        return self.base.closure_union((r, ceil_mul(self.alpha, k)) for r, k in pairs)
 
     def value_limit(self, v: MonomialValuation):
         inner = self.base.value_limit(v)
@@ -440,8 +437,6 @@ class Twist(Filtration):
 
 class StairOneVar(Filtration):
     """One-variable staircase I_m = (x^(ceil(alpha*m)+c)) with shift c >= 0."""
-
-    exact = True
 
     def __init__(self, alpha, c: int):
         super().__init__()
@@ -473,6 +468,11 @@ class StairOneVar(Filtration):
 
     def saturated_level(self, t) -> MonomialIdeal:
         return MonomialIdeal(1, [((self.alpha * t).ceil(),)])
+
+    def closure_union(self, pairs) -> MonomialIdeal:
+        # level k is the closed principal ideal (x^(ceil(alpha*k)+c))
+        q = min(-(-(ceil_mul(self.alpha, k) + self.c) // r) for r, k in pairs)
+        return MonomialIdeal(1, [(q,)])
 
     def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
         """x^q is integral at level m iff q*r >= ceil(alpha*r*m) + c for

@@ -9,11 +9,11 @@ k_filtration(F, m_max) tabulates the saturated filtration K_m = {nubar >= m},
 the unique largest filtration with the same asymptotic order.
 
 ic_filtration(F, m_max, r_max) tabulates the graded integral closure
-J_m = {f : f^r in closure(I_{r m}) for some r}.  Membership is only
-semi-decidable, so witnesses r are searched up to r_max and candidate
-monomials that fail every witness but pass the nubar test (that is, lie
-in K_m) are reported as inconclusive instead of being silently dropped
-or included.
+J_m = {f : f^r in closure(I_{r m}) for some r}, exact for the Adic,
+DiscreteValued and StairOneVar engines.  On a twist chain witnesses r
+count up to r_max: J_m is the one saturated level at the least k/r, k the
+root's index for level r*m, and the monomials of K_m outside it are
+reported as inconclusive instead of being silently dropped or included.
 
 The closed forms themselves are engine methods (see the filtration
 module); the functions here validate their input and tabulate.
@@ -105,12 +105,11 @@ def rees_graded_integral_1var(alpha, c: int, f_ord: int, n: int) -> bool:
 
 
 def rees_integral_witness_1var(alpha, c: int, f_ord: int, n: int):
-    """Smallest d with d*f_ord >= ceil(alpha*n*d) + c, or None."""
+    """Smallest d with d*f_ord >= ceil(alpha*n*d) + c, or None.
+
+    d*f_ord - ceil(alpha*n*d) = floor(d*(f_ord - alpha*n)), and c is an
+    integer, so the witness is 1 when c = 0 and ceil(c/(f_ord - alpha*n))
+    otherwise."""
     if not rees_graded_integral_1var(alpha, c, f_ord, n):
         return None
-    alpha = as_exact(alpha)
-    d = 1
-    while True:
-        if d * f_ord >= ceil_of(alpha * (n * d)) + c:
-            return d
-        d += 1
+    return ceil_of(c / (f_ord - as_exact(alpha) * n)) if c else 1

@@ -7,6 +7,9 @@ solves its linear program with the library's exact simplex (tested on its
 own in test_linprog).  dv_multiplicity_ie, the inclusion-exclusion the
 library used for discrete valued multiplicities in d <= 3 before the
 covolume triangulation, computes in the library's exact scalars.
+closure_level_by_witnesses, the witness union the library used for
+twisted closure levels before it read one saturated level, builds its
+levels and closures with the library's engines and integral_closure.
 """
 
 import itertools
@@ -14,6 +17,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, factorial, gcd
 
+from samfilt import MonomialIdeal, integral_closure
 from samfilt.exactnum import as_exact
 
 from samfilt._linprog import OPTIMAL, simplex_max
@@ -326,3 +330,19 @@ def dv_multiplicity_ie(pairs):
             vol = _region_volume(combo, d)
             total = total + (vol if size % 2 else -vol)
     return total * factorial(d)
+
+
+def closure_level_by_witnesses(F, m, r_max):
+    """(level, pending) of the graded integral closure of F at level m.
+
+    level is the union over r <= r_max of {e : r*e in closure(F.level(r*m))},
+    whose minimal elements are the componentwise ceilings g/r over the
+    generators g of those closures; pending lists the generators of
+    F.saturated_level(m) outside it.  Builds every level r*m."""
+    cand = set()
+    for r in range(1, r_max + 1):
+        for g in integral_closure(F.level(r * m)).gens:
+            cand.add(tuple(-(-x // r) for x in g))
+    level = MonomialIdeal(F.n, cand)
+    saturated = F.saturated_level(m)
+    return level, [e for e in saturated.gens if not level.contains_exponent(e)]

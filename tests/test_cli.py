@@ -428,6 +428,16 @@ class TestRees1:
         )
         assert rc == 0 and out == "integral (witness d=1)\n"
 
+    def test_large_shift_witness_in_closed_form(self, run):
+        # d = ceil(c / (15 - 10 sqrt 2)) = ceil((15c + sqrt(200 c^2)) / 25)
+        # for c = 10^9; 200 c^2 is no square, so with s = isqrt(200 c^2) this
+        # is (15c + s) // 25 + 1.  A scan over d would take 10^9 steps.
+        doc = run_json(
+            run, "rees1", "--alpha", "(0+1*sqrt(2))/1", "--c", "1000000000",
+            "--ord", "15", "--n", "10",
+        )
+        assert doc == {"command": "rees1", "integral": True, "witness": 1165685425}
+
 
 class TestErrorHandling:
     def test_invalid_json_exit_2(self, run, files):

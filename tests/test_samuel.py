@@ -31,7 +31,7 @@ from samfilt import (
 from samfilt.exactnum import as_exact, ceil_of
 from samfilt.valuation import MonomialValuation
 
-from oracles import adic_order, np_value_lp
+from oracles import adic_order, closure_level_by_witnesses, np_value_lp
 
 BOX = MonomialIdeal(2, [(2, 0), (0, 3)])
 mono = SupportPoly.monomial
@@ -271,6 +271,62 @@ class TestIcFiltration:
                 witnessed = any(r * v >= ceil_of(alpha * r * m) for r in range(1, 7))
                 assert J.contains_exponent(e) == witnessed == (v >= alpha * m), (m, e)
 
+    def test_twisted_3d_adic_builds_no_power(self):
+        # each J_m is the one saturated level {nubar >= 3m/2}, read with no
+        # power I^k built (witnesses r <= 8 reach k = 36)
+        I = MonomialIdeal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 5), (1, 1, 1)])
+        A = Adic(I)
+        F = twist(A, Fraction(3, 2))
+        res = ic_filtration(F, 3, r_max=8)
+        assert res.inconclusive == {}
+        K = k_filtration(F, 3)
+        for m in (1, 2, 3):
+            assert res.filtration.level(m) == K.level(m)
+        assert not [k for k in A._cache if k >= 1] and not F._cache
+
+    def test_closure_level_matches_witness_union(self):
+        # against the r-loop over closures of the built levels r*m; stair
+        # roots are twisted (their own closed form holds for every r) and
+        # include shifts c > r_max
+        rnd = random.Random(89)
+        scales = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(5, 3),
+                  sqrt(2), ExactReal(1, 1, 2, 2)]
+        for i in range(90):
+            kind = i % 3
+            n = rnd.choice((2, 3))
+            if kind == 0:
+                F = StairOneVar(rnd.choice(scales), rnd.randint(0, 8))
+            elif kind == 1:
+                gens = [tuple(rnd.randint(0, 2) for _ in range(n))
+                        for _ in range(rnd.randint(1, 2))]
+                gens += [tuple(rnd.randint(1, 3) if k == j else 0 for k in range(n))
+                         for j in range(n)]
+                F = Adic(MonomialIdeal(n, gens))
+            else:
+                F = DV(*[(tuple(rnd.randint(1, 3) for _ in range(n)), rnd.choice(scales))
+                         for _ in range(rnd.randint(1, 2))])
+            for _ in range(rnd.randint(kind == 0, 2)):
+                F = twist(F, rnd.choice(scales))
+            m, r_max = rnd.randint(1, 2), rnd.randint(1, 5)
+            got = F.closure_level(m, r_max)
+            assert got == closure_level_by_witnesses(F, m, r_max), (F, m, r_max)
+
+    @pytest.mark.parametrize(
+        "F,r_max,gen,pending",
+        [
+            # q = min over r of ceil((ceil(1*r) + 3)/r): r = 1 gives 4 ...
+            (twist(StairOneVar(1, 3), 1), 1, 4, [(1,)]),
+            # ... and r = 3 or 4 gives 2; x lies in K_1 = (x) but never in J_1
+            (twist(StairOneVar(1, 3), 1), 4, 2, [(1,)]),
+            # the stair's own form holds for every r: r*q >= r + 3 at q = 2
+            (StairOneVar(1, 3), 1, 2, []),
+        ],
+    )
+    def test_twisted_stair(self, F, r_max, gen, pending):
+        res = ic_filtration(F, 1, r_max=r_max)
+        assert res.filtration.level(1).gens == ((gen,),)
+        assert res.inconclusive == ({1: pending} if pending else {})
+
     def test_adic_level_two_frozen(self):
         res = ic_filtration(Adic(BOX), 2)
         assert res.filtration.level(2).gens == (
@@ -452,6 +508,15 @@ class TestReesGradedIntegral:
                 if cand * f_ord >= ceil_of(as_exact(alpha) * (n * cand)) + c:
                     scan = cand
                     break
+            assert d == scan, (alpha, c, f_ord, n)
+        for _ in range(80):  # quadratic slopes (p + q sqrt 2)/r
+            alpha = ExactReal(rnd.randint(0, 3), rnd.randint(1, 2), 2, rnd.randint(1, 3))
+            c = rnd.randint(0, 3)
+            n = rnd.randint(1, 5)
+            f_ord = rnd.randint(1, 12)
+            d = rees_integral_witness_1var(alpha, c, f_ord, n)
+            scan = next((cand for cand in range(1, 400)
+                         if cand * f_ord >= ceil_of(alpha * (n * cand)) + c), None)
             assert d == scan, (alpha, c, f_ord, n)
 
     def test_membership_is_power_membership_in_stair(self):
