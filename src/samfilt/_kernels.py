@@ -1,7 +1,7 @@
-"""Pure-Python kernels for the hot integer loops.
+"""Integer kernels for the hot lattice loops.
 
-These mirror the compiled versions in _fast.pyx; either implementation must
-produce identical results.  All functions take plain ints and tuples.
+Antichain reduction, divisibility tests, 2-d colengths and staircases of
+monomial ideals.  All functions take plain ints and tuples.
 """
 
 from __future__ import annotations

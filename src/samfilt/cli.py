@@ -5,7 +5,7 @@ grammar in the filtration module, results go out as exact scalars (and
 as machine-readable JSON under --json; see the schemas module).
 
 Exit codes: 0 ok, 2 parse error, 3 precondition violated, 4 an internal
-limit (table horizon / witness bound) prevented any answer.  Undecided
+limit (table horizon / witness bound / nesting depth) prevented any answer.  Undecided
 *parts* of an otherwise computed answer (e.g. inconclusive monomials in
 an integral closure level) are reported in-band and exit 0.
 """
@@ -236,6 +236,8 @@ def _cmd_recover(args):
 
 
 def _cmd_mult(args):
+    if args.csv and args.n_max is None:
+        raise ParseError("--csv needs --n-max")
     F = _load_filtration(args.filtration)
     exact = why = None
     try:
@@ -258,8 +260,11 @@ def _cmd_mult(args):
     if estimate is not None:
         lines.append("estimate(n=%d) = %s" % (args.n_max, estimate))
     if series is not None and args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(series.to_csv())
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write(series.to_csv())
+        except OSError as exc:
+            raise ParseError("cannot write %s: %s" % (args.csv, exc)) from exc
         lines.append("series written to %s" % args.csv)
     doc = {
         "command": "mult",
@@ -422,6 +427,9 @@ def main(argv=None) -> int:
         return 2
     except HorizonExceededError as exc:
         print("limit reached: %s" % exc, file=sys.stderr)
+        return 4
+    except RecursionError:  # deeply nested input: json parsing or twist chains
+        print("limit reached: input nested too deeply", file=sys.stderr)
         return 4
     except PreconditionError as exc:
         print("precondition error: %s" % exc, file=sys.stderr)

@@ -302,6 +302,19 @@ class TestMult:
         assert lines[1] == "1,1,2"
         assert len(lines) == 21
 
+    def test_csv_unwritable_exit_2(self, run, files):
+        bad = files["dir"] / "no_such_dir" / "x.csv"
+        rc, out, err = run("mult", "-f", files["adic"], "--n-max", "3", "--csv", str(bad))
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "cannot write" in err
+
+    def test_csv_needs_n_max(self, run, files):
+        csv_path = files["dir"] / "series.csv"
+        rc, out, err = run("mult", "-f", files["adic"], "--csv", str(csv_path))
+        assert rc == 2 and out == ""
+        assert "--csv needs --n-max" in err
+        assert not csv_path.exists()
+
     def test_exact_and_estimate_for_adic(self, run, files):
         rc, out, _ = run("mult", "-f", files["adic"], "--n-max", "10")
         assert rc == 0 and out == "exact = 6/1\nestimate(n=10) = 33/5\n"
@@ -496,6 +509,26 @@ class TestErrorHandling:
         path.write_text(json.dumps(doc))
         rc, out, err = run("nu", "-f", str(path), "--monomial", "3", "--json")
         assert rc == 2 and out == "" and "parse error" in err
+
+    def test_deep_nesting_exit_4(self, run, tmp_path):
+        # a chain of twists deeper than the interpreter's recursion limit
+        def nested(depth):
+            head = '{"type": "twist", "alpha": "1/1", "base": '
+            return head * depth + json.dumps(ADIC) + "}" * depth
+
+        deep = tmp_path / "deep.json"
+        deep.write_text(nested(3000))
+        for argv in (("nu", "--monomial", "1,1"), ("mult",)):
+            rc, out, err = run(argv[0], "-f", str(deep), *argv[1:])
+            assert rc == 4 and out == ""
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+        mid = tmp_path / "mid.json"
+        mid.write_text(nested(900))
+        rc, out, err = run("twist", "-f", str(mid), "--alpha", "1", "--m-max", "1")
+        assert rc in (0, 4) and "Traceback" not in err
+        assert len(err.splitlines()) <= 1
+        if rc == 4:
+            assert out == ""
 
     def test_seed_flag_accepted(self, run, files):
         rc, out, _ = run(

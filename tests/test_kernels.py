@@ -1,23 +1,9 @@
-import os
 import random
 
-import pytest
-
-import samfilt._kernels as kernels
-from samfilt._kernels import pure
+import samfilt
+from samfilt import _kernels as kernels
 
 from oracles import brute_colength, minimal_points
-
-try:
-    import importlib
-
-    _fast = importlib.import_module("samfilt._kernels._fast")
-except ImportError:
-    _fast = None
-
-FORCED_PURE = os.environ.get("SAMFILT_PURE") == "1"
-
-needs_fast = pytest.mark.skipif(_fast is None, reason="compiled kernels not built")
 
 
 def canon(points):
@@ -62,35 +48,35 @@ def brute_union_count(rows):
 
 class TestReduceAntichainPure:
     def test_empty(self):
-        assert pure.reduce_antichain([]) == []
+        assert kernels.reduce_antichain([]) == []
 
     def test_single(self):
-        assert pure.reduce_antichain([(2, 3)]) == [(2, 3)]
+        assert kernels.reduce_antichain([(2, 3)]) == [(2, 3)]
 
     def test_dominated_dropped_degree_order(self):
-        got = pure.reduce_antichain([(1, 1), (2, 1), (1, 2), (0, 3)])
+        got = kernels.reduce_antichain([(1, 1), (2, 1), (1, 2), (0, 3)])
         assert got == [(1, 1), (0, 3)]
 
     def test_duplicates_collapse(self):
-        assert pure.reduce_antichain([(1, 2), (1, 2)]) == [(1, 2)]
+        assert kernels.reduce_antichain([(1, 2), (1, 2)]) == [(1, 2)]
 
     def test_matches_brute_minimal_points(self):
         rnd = random.Random(11)
         for n in (1, 2, 3, 4):
             for _ in range(50):
                 pts = rand_points(rnd, n, rnd.randint(0, 25), 6)
-                assert pure.reduce_antichain(pts) == canon(pts)
+                assert kernels.reduce_antichain(pts) == canon(pts)
 
 
 class TestHelpersPure:
     def test_any_le(self):
         pts = [(2, 0), (0, 3)]
-        assert pure.any_le(pts, (2, 5))
-        assert not pure.any_le(pts, (1, 2))
+        assert kernels.any_le(pts, (2, 5))
+        assert not kernels.any_le(pts, (1, 2))
 
     def test_colength_2d_box(self):
         # (x^2, y^3): complement {0,1} x {0,1,2}, six monomials
-        assert pure.colength_2d([(0, 3), (2, 0)]) == 6
+        assert kernels.colength_2d([(0, 3), (2, 0)]) == 6
 
     def test_colength_2d_matches_enumeration(self):
         rnd = random.Random(13)
@@ -99,17 +85,17 @@ class TestHelpersPure:
             gens.append((rnd.randint(0, 7), 0))
             gens.append((0, rnd.randint(0, 7)))
             gens = minimal_points(gens)
-            assert pure.colength_2d(gens) == brute_colength(gens)
+            assert kernels.colength_2d(gens) == brute_colength(gens)
 
     def test_staircase_gens_halfplane(self):
         # 3x + 2y >= 6
-        assert pure.staircase_gens_2d([(3, 2, 6)]) == [(2, 0), (1, 2), (0, 3)]
+        assert kernels.staircase_gens_2d([(3, 2, 6)]) == [(2, 0), (1, 2), (0, 3)]
 
     def test_staircase_gens_with_mins(self):
-        assert pure.staircase_gens_2d([(3, 2, 6)], 1, 1) == [(2, 1), (1, 2)]
+        assert kernels.staircase_gens_2d([(3, 2, 6)], 1, 1) == [(2, 1), (1, 2)]
 
     def test_staircase_empty_rows_gives_corner(self):
-        assert pure.staircase_gens_2d([], 2, 3) == [(2, 3)]
+        assert kernels.staircase_gens_2d([], 2, 3) == [(2, 3)]
 
     def test_staircase_matches_enumeration(self):
         # generator content must match; the kernel's own order (ascending
@@ -118,86 +104,20 @@ class TestHelpersPure:
         for _ in range(60):
             rows = rand_rows(rnd, rnd.randint(1, 4))
             xm, ym = rnd.randint(0, 3), rnd.randint(0, 3)
-            got = pure.staircase_gens_2d(rows, xm, ym)
+            got = kernels.staircase_gens_2d(rows, xm, ym)
             assert sorted(got) == sorted(brute_staircase(rows, xm, ym))
             assert [g[1] for g in got] == sorted(g[1] for g in got)
 
     def test_prefix_union_count_halfplanes(self):
         # points with 3x+2y < 6: (0,0),(0,1),(0,2),(1,0),(1,1) -> 5
-        assert pure.prefix_union_count_2d([(3, 2, 6)]) == 5
+        assert kernels.prefix_union_count_2d([(3, 2, 6)]) == 5
 
     def test_prefix_union_matches_enumeration(self):
         rnd = random.Random(43)
         for _ in range(60):
             rows = rand_rows(rnd, rnd.randint(1, 4))
-            assert pure.prefix_union_count_2d(rows) == brute_union_count(rows)
-
-
-@needs_fast
-class TestCompiledAgreesWithPure:
-    def test_reduce_antichain_random(self):
-        rnd = random.Random(17)
-        for n in (1, 2, 3, 5, 8):
-            for _ in range(40):
-                pts = rand_points(rnd, n, rnd.randint(0, 40), 9)
-                assert _fast.reduce_antichain(pts) == pure.reduce_antichain(pts)
-
-    def test_any_le_random(self):
-        rnd = random.Random(19)
-        for _ in range(200):
-            n = rnd.randint(1, 4)
-            pts = rand_points(rnd, n, rnd.randint(1, 10), 5)
-            e = tuple(rnd.randint(0, 6) for _ in range(n))
-            assert _fast.any_le(pts, e) == pure.any_le(pts, e)
-
-    def test_colength_random(self):
-        rnd = random.Random(23)
-        for _ in range(100):
-            gens = rand_points(rnd, 2, rnd.randint(1, 6), 8)
-            gens.append((rnd.randint(0, 8), 0))
-            gens.append((0, rnd.randint(0, 8)))
-            gens = pure.reduce_antichain(gens)
-            assert _fast.colength_2d(gens) == pure.colength_2d(gens)
-
-    def test_staircase_random(self):
-        rnd = random.Random(29)
-        for _ in range(100):
-            rows = rand_rows(rnd, rnd.randint(1, 6), whi=5, chi=60)
-            xm, ym = rnd.randint(0, 4), rnd.randint(0, 4)
-            assert _fast.staircase_gens_2d(rows, xm, ym) == pure.staircase_gens_2d(
-                rows, xm, ym
-            )
-
-    def test_prefix_union_random(self):
-        rnd = random.Random(31)
-        for _ in range(100):
-            rows = rand_rows(rnd, rnd.randint(1, 6), whi=5, chi=60)
-            assert _fast.prefix_union_count_2d(rows) == pure.prefix_union_count_2d(
-                rows
-            )
-
-    def test_malformed_rows_fail_cleanly(self):
-        # wrong arity must raise, never crash
-        with pytest.raises((IndexError, ValueError, TypeError)):
-            _fast.staircase_gens_2d([(0, 3), (1, 1)], 0, 0)
-        with pytest.raises((IndexError, ValueError, TypeError)):
-            _fast.prefix_union_count_2d([(1, 2)])
-
-    def test_dispatch_falls_back_on_huge_inputs(self):
-        # coordinates beyond the machine-safe bound must use the pure path
-        big = 1 << 40
-        pts = [(big, 0), (0, big)]
-        assert kernels.reduce_antichain(pts) == pure.reduce_antichain(pts)
-        assert kernels.any_le(pts, (big, big)) == pure.any_le(pts, (big, big))
-
-
-def test_dispatch_matches_pure_regardless_of_backend():
-    rnd = random.Random(37)
-    for _ in range(50):
-        pts = rand_points(rnd, 3, rnd.randint(0, 20), 7)
-        assert kernels.reduce_antichain(pts) == pure.reduce_antichain(pts)
+            assert kernels.prefix_union_count_2d(rows) == brute_union_count(rows)
 
 
 def test_implementation_label():
-    expected = "compiled" if (_fast is not None and not FORCED_PURE) else "pure"
-    assert kernels.IMPLEMENTATION == expected
+    assert samfilt.kernel_implementation == "pure"
