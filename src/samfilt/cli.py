@@ -29,11 +29,12 @@ from .errors import (
     PreconditionError,
     SamfiltError,
 )
-from .exactnum import PlusInfinity, format_scalar, parse_scalar
+from .exactnum import PlusInfinity, format_scalar
 from .filtration import (
     AtLeast,
     DiscreteValued,
     Filtration,
+    _parse_positive_scalar,
     bracket_twist,
     filtration_from_json,
     twist,
@@ -80,13 +81,6 @@ def _parse_exponent(text: str):
     if not parts or any(p < 0 for p in parts):
         raise ParseError("exponents must be nonnegative integers: %r" % text)
     return tuple(parts)
-
-
-def _parse_alpha(text: str):
-    val = parse_scalar(text)
-    if isinstance(val, PlusInfinity) or val.sign() <= 0:
-        raise ParseError("alpha must be a positive finite scalar: %r" % text)
-    return val
 
 
 def _monomial_arg(args, F: Filtration) -> SupportPoly:
@@ -141,7 +135,7 @@ def _cmd_nubar(args):
 
 def _twistlike(args, name, build):
     F = _load_filtration(args.filtration)
-    alpha = _parse_alpha(args.alpha)
+    alpha = _parse_positive_scalar(args.alpha, "alpha")
     G = build(F, alpha)
     lines = [json.dumps(G.to_json(), sort_keys=True)]
     doc = {"command": name, "filtration": G.to_json()}
@@ -161,8 +155,6 @@ def _cmd_bracket(args):
 
 def _cmd_k(args):
     F = _load_filtration(args.filtration)
-    if args.m_max is None:
-        raise ParseError("--m-max is required for k")
     K = k_filtration(F, args.m_max)
     lines = ["K_%d = %s" % (m, K.level(m)) for m in range(1, args.m_max + 1)]
     doc = {
@@ -176,8 +168,6 @@ def _cmd_k(args):
 
 def _cmd_ic(args):
     F = _load_filtration(args.filtration)
-    if args.m_max is None:
-        raise ParseError("--m-max is required for ic")
     res = ic_filtration(F, args.m_max, r_max=args.r_max)
     table = res.filtration
     lines = ["J_%d = %s" % (m, table.level(m)) for m in range(1, args.m_max + 1)]
@@ -225,8 +215,6 @@ def _cmd_recover(args):
     F = _load_filtration(args.filtration)
     if not isinstance(F, DiscreteValued):
         raise PreconditionError("recover expects a discrete valued filtration")
-    if args.degree_bound is None:
-        raise ParseError("--degree-bound is required for recover")
     oracle = OmegaOracle.from_pairs(F.pairs)
     rep = recover_valuations(oracle, args.degree_bound)
     lines = [
@@ -315,7 +303,7 @@ def _cmd_sat(args):
 
 
 def _cmd_rees1(args):
-    alpha = _parse_alpha(args.alpha)
+    alpha = _parse_positive_scalar(args.alpha, "alpha")
     ok = rees_graded_integral_1var(alpha, args.c, args.ord, args.n)
     witness = rees_integral_witness_1var(alpha, args.c, args.ord, args.n)
     lines = ["integral (witness d=%d)" % witness if ok else "not integral"]

@@ -2,9 +2,7 @@
 
 Five engines:
 
-* Adic(I): levels are the powers I^m.  nubar, the saturated levels and
-  the closure levels closure(I^m) = {nubar >= m} are read off the facets of
-  the Newton polyhedron of I, exact in any dimension.
+* Adic(I): levels are the powers I^m.
 * DiscreteValued(pairs): levels are intersections of valuation ideals,
   I_m = {e : w_i . e >= ceil(m * a_i) for every pair (w_i, a_i)}.
 * Twist(base, alpha): levels I_m = base level at ceil(alpha * m).  Nested
@@ -23,13 +21,17 @@ Each engine answers five questions by method: asymptotic_order (nubar
 on a nonzero f), saturated_level (K_t = {nubar >= t} for t > 0),
 closure_union ({e : r*e in closure(I_k) for some given (r, k)}),
 value_limit (lim v(I_n)/n) and multiplicity (lim d! colength(I_n) / n^d).
-Twist answers them through its base, scaling by alpha there.  The
-Filtration defaults are the "bounds only" answers of a Table: the nubar
-estimator, no value limit, and PreconditionError for the levels and the
-multiplicity.  closure_level(m, r_max), the graded integral closure, is
-closure_union over the witnesses (r, r*m), r <= r_max, with the monomials
-of K_m outside it pending; Adic, DiscreteValued and StairOneVar override
-it with closed forms exact over every r.
+Adic and DiscreteValued share one implementation of the last four: for
+both, the closure of level k is k*P for one polyhedron P (the Newton
+polyhedron of I; {x >= 0 : w_i . x >= a_i}), so each engine supplies
+P's inequalities and a point set holding its vertices, and every answer
+is exact in any dimension.  Twist answers through its base, scaling by
+alpha there.  The Filtration defaults are the "bounds only" answers of a
+Table: the nubar estimator, no value limit, and PreconditionError for
+the levels and the multiplicity.  closure_level(m, r_max), the graded
+integral closure, is closure_union over the witnesses (r, r*m),
+r <= r_max, with the monomials of K_m outside it pending; the polyhedral
+engines and StairOneVar override it with closed forms exact over every r.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .exactnum import (
     format_scalar,
     parse_scalar,
 )
-from ._linprog import OPTIMAL, lp_min
 from .monomial import (
     Exponent,
     MonomialIdeal,
@@ -63,7 +64,6 @@ from .monomial import (
     cone_rays,
     newton_facets,
     normalized_covolume,
-    np_threshold_level,
     np_value,
 )
 from .valuation import MonomialValuation, system_level
@@ -193,8 +193,44 @@ class Filtration:
         raise NotImplementedError
 
 
-class Adic(Filtration):
-    """Powers of a fixed monomial ideal."""
+class _Polyhedral(Filtration):
+    """An engine whose closure of level k is k*P for one polyhedron P in
+    the orthant with P + orthant = P, so that nubar(x^e) = the largest t
+    with e in t*P.  Subclasses supply P: _rows, the inequalities (l, c)
+    with c > 0 that cut it out of the orthant, and _points, a point set
+    of P that holds every vertex."""
+
+    def _rows(self) -> list:
+        raise NotImplementedError
+
+    def _points(self) -> list:
+        raise NotImplementedError
+
+    def saturated_level(self, t) -> MonomialIdeal:
+        return system_level(self.n, [(l, c * t, False) for l, c in self._rows()])
+
+    def closure_union(self, pairs) -> MonomialIdeal:
+        # closure(level k) = k*P and nubar is positively homogeneous, so the
+        # union is one saturated level, at the least k/r
+        return self.saturated_level(min(as_exact(k) / r for r, k in pairs))
+
+    def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
+        # closure(level m) = m*P absorbs every witness r, with no power built
+        return self.saturated_level(m), []
+
+    def value_limit(self, v: MonomialValuation):
+        """min v.x over P: at a vertex, since v >= 0 and P + orthant = P;
+        INF when P is empty."""
+        values = [sum(map(operator.mul, v.w, p)) for p in self._points()]
+        return as_exact(min(values)) if values else INF
+
+    def multiplicity(self) -> ExactReal:
+        """d! covol(P), from one exact triangulation."""
+        return normalized_covolume(self._points(), self._rows())
+
+
+class Adic(_Polyhedral):
+    """Powers of a fixed monomial ideal; P is its Newton polyhedron."""
 
     def __init__(self, ideal: MonomialIdeal):
         super().__init__()
@@ -257,36 +293,24 @@ class Adic(Filtration):
             return NubarResult(0, "exact")
         return NubarResult(min(np_value(self.ideal, e) for e in f.min_support()), "exact")
 
-    def saturated_level(self, t) -> MonomialIdeal:
+    def _rows(self) -> list:
         if self.ideal.is_unit:
-            return MonomialIdeal.unit(self.n)
+            return []
         if self.ideal.is_zero:
-            return MonomialIdeal.zero(self.n)
-        return np_threshold_level(self.ideal, t)
+            return [((0,) * self.n, 1)]  # no point passes: P is empty
+        return [(f[:-1], f[-1]) for f in newton_facets(self.ideal)]
 
-    def closure_union(self, pairs) -> MonomialIdeal:
-        # closure(I^k) = {nubar >= k} and nubar is positively homogeneous,
-        # so the union is one saturated level, at the least k/r
-        return self.saturated_level(min(as_exact(k) / r for r, k in pairs))
-
-    def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
-        # closure(I^m) = {nubar >= m}, with no I^m built, absorbs every r
-        return self.saturated_level(m), []
-
-    def value_limit(self, v: MonomialValuation):
-        return as_exact(v.value_of_ideal(self.ideal))
+    def _points(self) -> tuple:
+        return self.ideal.gens
 
     def multiplicity(self) -> ExactReal:
         """d! covol(NP(I)) (Teissier 1988): 0 for the unit ideal."""
-        if self.ideal.is_unit:
-            return as_exact(0)
         if not self.ideal.is_primary():
             raise NotPrimaryError(
                 "infinite multiplicity: no pure power of some variable in %s"
                 % self.ideal
             )
-        facets = [(f[:-1], f[-1]) for f in newton_facets(self.ideal)]
-        return normalized_covolume(self.ideal.gens, facets)
+        return super().multiplicity()
 
     def to_json(self) -> dict:
         return {"type": "adic", "ideal": self.ideal.to_json()}
@@ -295,8 +319,12 @@ class Adic(Filtration):
         return "Adic(%r)" % (self.ideal,)
 
 
-class DiscreteValued(Filtration):
-    """Intersections of valuation ideals with per-valuation scales a_i."""
+class DiscreteValued(_Polyhedral):
+    """Intersections of valuation ideals with per-valuation scales a_i.
+
+    Level m >= 1 is the saturated level at m of P = {x >= 0 : w_i . x >=
+    a_i}: the levels are integrally closed and equal to {nubar >= m}.
+    """
 
     def __init__(self, pairs: Iterable[tuple[MonomialValuation, object]]):
         super().__init__()
@@ -333,35 +361,14 @@ class DiscreteValued(Filtration):
         """min_i v_i(f) / a_i."""
         return NubarResult(min(as_exact(v.value(f)) / a for v, a in self.pairs), "exact")
 
-    def saturated_level(self, t) -> MonomialIdeal:
-        # valuation-cut levels: level m is the saturated level at t = m
-        return system_level(self.n, [(v.w, a * t, False) for v, a in self.pairs])
+    def _rows(self) -> list:
+        return [(v.w, a) for v, a in self.pairs]
 
-    def closure_union(self, pairs) -> MonomialIdeal:
-        # level k is closed and equal to {nubar >= k}, as for Adic
-        return self.saturated_level(min(as_exact(k) / r for r, k in pairs))
-
-    def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
-        # valuation-cut levels are integrally closed and the chain collapses
-        return self.level(m), []
-
-    def value_limit(self, v: MonomialValuation):
-        """min v.x over {x >= 0 : w_i.x >= a_i}, by an exact LP."""
-        zero, one = as_exact(0), as_exact(1)
-        c = [as_exact(x) for x in v.w]
-        A = [[as_exact(x) for x in pv.w] for pv, _ in self.pairs]
-        b = [a for _, a in self.pairs]
-        status, value, _ = lp_min(c, A, b, zero=zero, one=one)
-        if status != OPTIMAL:  # pragma: no cover - region is feasible/bounded
-            raise PreconditionError("value LP did not solve: %s" % status)
-        return value
-
-    def multiplicity(self) -> ExactReal:
-        """d! covol(P) for P = {x >= 0 : w_i . x >= a_i}.  The vertices of P
-        are x/s over the rays with s > 0 of {(x, s) >= 0 : w_i . x >= a_i s}."""
+    def _points(self) -> list:
+        """The vertices of P: x/s over the rays with s > 0 of the cone
+        {(x, s) >= 0 : w_i . x >= a_i s}."""
         rays = cone_rays([v.w + (-a,) for v, a in self.pairs], self.n)
-        vertices = [tuple(x / r[-1] for x in r[:-1]) for r in rays if r[-1] != 0]
-        return normalized_covolume(vertices, [(v.w, a) for v, a in self.pairs])
+        return [tuple(x / r[-1] for x in r[:-1]) for r in rays if r[-1] != 0]
 
     def to_json(self) -> dict:
         return {
@@ -514,7 +521,8 @@ class Table(Filtration):
         if horizon < 1:
             raise PreconditionError("horizon must be >= 1")
         data = dict(levels.items() if isinstance(levels, Mapping) else levels)
-        if sorted(data) != list(range(1, horizon + 1)):
+        # the length check first: the range is then no longer than the input
+        if len(data) != horizon or sorted(data) != list(range(1, horizon + 1)):
             raise ConstructionError("levels must cover exactly 1..horizon")
         n = data[1].n
         for m, ideal in data.items():

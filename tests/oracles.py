@@ -2,14 +2,17 @@
 
 Everything here is deliberately naive: membership by definition-chasing
 and exhaustive enumeration, no shared code with the library's algorithms
-beyond the public data types.  The one exception is np_value_lp, which
-solves its linear program with the library's exact simplex (tested on its
-own in test_linprog).  dv_multiplicity_ie, the inclusion-exclusion the
-library used for discrete valued multiplicities in d <= 3 before the
-covolume triangulation, computes in the library's exact scalars.
+beyond the public data types.  The exceptions: np_value_lp and
+dv_value_limit_lp solve their linear programs with the library's exact
+simplex (tested on its own in test_linprog).  dv_multiplicity_ie, the
+inclusion-exclusion the library used for discrete valued multiplicities
+in d <= 3 before the covolume triangulation, computes in the library's
+exact scalars.
 closure_level_by_witnesses, the witness union the library used for
 twisted closure levels before it read one saturated level, builds its
 levels and closures with the library's engines and integral_closure.
+dv_value_limit_lp is the LP the library solved for discrete valued value
+limits before it took the least value over the vertices of the polyhedron.
 """
 
 import itertools
@@ -20,7 +23,7 @@ from math import ceil, factorial, gcd
 from samfilt import MonomialIdeal, integral_closure
 from samfilt.exactnum import as_exact
 
-from samfilt._linprog import OPTIMAL, simplex_max
+from samfilt._linprog import OPTIMAL, lp_min, simplex_max
 
 
 def dominates(e, g):
@@ -346,3 +349,17 @@ def closure_level_by_witnesses(F, m, r_max):
     level = MonomialIdeal(F.n, cand)
     saturated = F.saturated_level(m)
     return level, [e for e in saturated.gens if not level.contains_exponent(e)]
+
+
+def dv_value_limit_lp(pairs, w):
+    """min w.x over {x >= 0 : w_i.x >= a_i}, by one exact LP.
+
+    pairs are (w_i, a_i) with positive integer w_i and exact positive a_i;
+    w is a nonnegative integer weight vector."""
+    zero, one = as_exact(0), as_exact(1)
+    c = [as_exact(x) for x in w]
+    A = [[as_exact(x) for x in wi] for wi, _ in pairs]
+    b = [as_exact(a) for _, a in pairs]
+    status, value, _ = lp_min(c, A, b, zero=zero, one=one)
+    assert status == OPTIMAL, status
+    return value

@@ -24,6 +24,7 @@ TW_DV = {
     "base": {"type": "dv", "pairs": [{"w": [1, 1], "a": "2/1"}]},
 }
 UNIT = {"type": "adic", "ideal": {"n": 2, "gens": [[0, 0]]}}
+ZERO = {"type": "adic", "ideal": {"n": 2, "gens": []}}
 TABLE2 = {
     "type": "table",
     "horizon": 2,
@@ -49,6 +50,7 @@ def files(tmp_path):
         "stair": write("stair.json", STAIR),
         "tw_dv": write("tw_dv.json", TW_DV),
         "unit": write("unit.json", UNIT),
+        "zero": write("zero.json", ZERO),
         "table2": write("table2.json", TABLE2),
         "dir": tmp_path,
     }
@@ -380,6 +382,13 @@ class TestVal:
             "result": {"exact": "2/3", "upper": "2/3", "upper_n": 3},
         }
 
+    def test_zero_ideal_is_infinite(self, run, files):
+        # every level is (0); this used to exit 3 with "not an exact scalar"
+        rc, out, err = run("val", "-f", files["zero"], "--valuation", "1,1")
+        assert (rc, out, err) == (0, "inf (exact; running inf inf at n=1)\n", "")
+        doc = run_json(run, "val", "-f", files["zero"], "--valuation", "1,1")
+        assert doc["result"] == {"exact": "inf", "upper": "inf", "upper_n": 1}
+
 
 class TestSat:
     def test_adic_strict(self, run, files):
@@ -413,6 +422,15 @@ class TestSat:
         )
         assert doc["report"]["valuations"] == [[3, 2], [1, 1]]
         assert doc["report"]["values"] == ["6/1", "2/1"]
+
+    def test_zero_ideal(self, run, files):
+        doc = run_json(
+            run, "sat", "-f", files["zero"], "--test-vals", "1,1", "--n-max", "2"
+        )
+        rep = doc["report"]
+        assert rep["values"] == ["inf"]
+        assert [r["sat"]["gens"] for r in rep["rows"]] == [[], []]
+        assert all(r["equal"] and r["contained"] for r in rep["rows"])
 
 
 class TestRees1:
@@ -489,6 +507,15 @@ class TestErrorHandling:
         rc, out, err = run("mult", "-f", files["table2"], "--n-max", "5")
         assert rc == 4 and out == ""
         assert "limit reached" in err and "horizon 2" in err
+
+    def test_huge_table_horizon_exit_2(self, run, tmp_path):
+        # rejected on the level count, before anything of the horizon's size
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"type": "table", "horizon": 10**12, "levels": []}))
+        rc, out, err = run("nu", "-f", str(path), "--monomial", "1")
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "levels must cover exactly 1..horizon" in err
 
     def test_bad_alpha_exit_2(self, run, files):
         rc, _, err = run("twist", "-f", files["dv"], "--alpha", "1.5")

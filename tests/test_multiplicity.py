@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from samfilt import (
+    INF,
     Adic,
     DiscreteValued,
+    ExactReal,
     HorizonExceededError,
     NotPrimaryError,
     PreconditionError,
@@ -21,6 +23,7 @@ from samfilt.monomial import (
     newton_facets,
     np_threshold_level,
 )
+from samfilt.exactnum import format_scalar
 from samfilt.multiplicity import (
     colength,
     filtration_value,
@@ -30,7 +33,13 @@ from samfilt.multiplicity import (
 )
 from samfilt.valuation import MonomialValuation
 
-from oracles import brute_colength, dv_level_members, dv_multiplicity_ie, minimal_points
+from oracles import (
+    brute_colength,
+    dv_level_members,
+    dv_multiplicity_ie,
+    dv_value_limit_lp,
+    minimal_points,
+)
 
 
 def P(w, a):
@@ -332,6 +341,31 @@ class TestFiltrationValue:
         res = filtration_value(MonomialValuation((1, 1)), Adic(BOX), 10)
         assert res.exact.as_fraction() == 2
         assert res.to_json() == {"exact": "2/1", "upper": "2/1", "upper_n": 1}
+
+    def test_adic_unit_and_zero_ideals(self):
+        # every level of the zero ideal is (0): v is +inf on all of them
+        res = filtration_value(MonomialValuation((1, 1)), Adic(MonomialIdeal.zero(2)), 3)
+        assert res.exact is INF and res.upper is INF and res.upper_n == 1
+        assert str(res) == "inf (exact; running inf inf at n=1)"
+        assert res.to_json() == {"exact": "inf", "upper": "inf", "upper_n": 1}
+        res = filtration_value(MonomialValuation((1, 1)), Adic(MonomialIdeal.unit(2)), 3)
+        assert res.to_json() == {"exact": "0/1", "upper": "0/1", "upper_n": 1}
+
+    def test_dv_matches_lp_oracle(self):
+        # the least value over the vertices of P equals the LP optimum
+        rnd = random.Random(607)
+        scales = [Fraction(1), Fraction(3, 2), Fraction(2, 3), Fraction(5, 4),
+                  sqrt(2), ExactReal(1, 1, 2, 2), ExactReal(3, 2, 2, 5)]
+        for case in range(330):
+            d = 1 + case % 3
+            pairs = [
+                (tuple(rnd.randint(1, 5) for _ in range(d)), rnd.choice(scales))
+                for _ in range(rnd.randint(1, 5))
+            ]
+            w = tuple(rnd.randint(1, 6) for _ in range(d))
+            got = DV(*pairs).value_limit(MonomialValuation(w))
+            want = dv_value_limit_lp(pairs, w)
+            assert got == want and format_scalar(got) == format_scalar(want), (pairs, w)
 
     def test_stair(self):
         res = filtration_value(

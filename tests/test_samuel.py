@@ -235,9 +235,11 @@ class TestIcFiltration:
         assert res.inconclusive == {}
 
     def test_adic_closure_level_without_the_power(self):
-        # closure(I^m) = {nubar >= m}, read off the facets of I; I^m is not built
+        # closure(I^m) = {nubar >= m}, read off the facets of I; I^m is not
+        # built.  The unit and zero ideals are their own powers and closures.
         rnd = random.Random(73)
         for n in (2, 3):
+            ideals = [MonomialIdeal.unit(n), MonomialIdeal.zero(n)]
             for _ in range(8):
                 gens = [
                     tuple(rnd.randint(0, 3) for _ in range(n))
@@ -245,11 +247,19 @@ class TestIcFiltration:
                 ]
                 gens += [tuple(rnd.randint(1, 4) if k == j else 0 for k in range(n))
                          for j in range(n)]
+                ideals.append(MonomialIdeal(n, gens))
+            for I in ideals:
                 for m in range(1, 5):
-                    A = Adic(MonomialIdeal(n, gens))
+                    A = Adic(I)
                     level, pending = A.closure_level(m, 1)
                     assert pending == [] and m not in A._cache
-                    assert level == integral_closure(A.level(m)), (gens, m)
+                    t = Fraction(2 * m - 1, 2)
+                    if I.is_proper_nonzero:
+                        assert level == np_threshold_level(I, m), (I, m)
+                        assert A.saturated_level(t) == np_threshold_level(I, t), (I, t)
+                    else:
+                        assert level == I and A.saturated_level(t) == I
+                    assert level == integral_closure(A.level(m)), (I, m)
 
     def test_twisted_3d_adic(self):
         # J_m = {e : r*e in closure(I^ceil(3rm/2)) for some r <= 6}, which
