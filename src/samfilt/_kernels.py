@@ -2,10 +2,16 @@
 
 Antichain reduction, divisibility tests, 2-d colengths and staircases of
 monomial ideals.  All functions take plain ints and tuples.
+
+reduce_antichain costs, for k distinct points in dimension n: one sort
+plus a linear scan for n = 1 and n = 2; a sweep of O(k log k) comparisons
+for n = 3 (Kung, Luccio & Preparata 1975); and a scan comparing each
+point with every kept one, quadratic in the worst case, for n >= 4.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Sequence
 
 
@@ -15,9 +21,10 @@ def reduce_antichain(points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]
     Output is deduplicated and sorted by (total degree, lex).
     """
     uniq = set(points)
-    if not uniq:
-        return []
-    if len(next(iter(uniq))) == 2:
+    if len(uniq) < 2:
+        return list(uniq)
+    n = len(next(iter(uniq)))
+    if n == 2:
         # staircase scan in lex order: keep a running minimum of the second
         # coordinate per strictly increasing first coordinate
         out: list[tuple[int, ...]] = []
@@ -25,6 +32,31 @@ def reduce_antichain(points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]
             if out and out[-1][1] <= p[1]:
                 continue
             out.append(p)
+        out.sort(key=lambda p: (sum(p), p))
+        return out
+    if n == 3:
+        # sweep in (z, x, y) order, so every point that dominates p comes
+        # before p; xs/ys hold the 2-d staircase of the kept points, xs
+        # increasing and ys decreasing.  p is dominated exactly when the
+        # kept entry with the largest x' <= x has y' <= y.  A kept p
+        # replaces the entries it dominates in the plane (x' >= x and
+        # y' >= y): a contiguous run starting at the first x' >= x.
+        xs: list[int] = []
+        ys: list[int] = []
+        out = []
+        for p in sorted(uniq, key=lambda p: (p[2], p[0], p[1])):
+            x, y = p[0], p[1]
+            i = bisect.bisect_right(xs, x)
+            if i and ys[i - 1] <= y:
+                continue
+            out.append(p)
+            if i and xs[i - 1] == x:
+                i -= 1
+            j = i
+            while j < len(xs) and ys[j] >= y:
+                j += 1
+            xs[i:j] = [x]
+            ys[i:j] = [y]
         out.sort(key=lambda p: (sum(p), p))
         return out
     pts = sorted(uniq, key=lambda p: (sum(p), p))

@@ -54,7 +54,14 @@ def monomial_str(e: Exponent) -> str:
 
 
 class MonomialIdeal:
-    """A monomial ideal, canonically generated by its minimal exponents."""
+    """A monomial ideal, canonically generated by its minimal exponents.
+
+    Exponents are validated at the public boundary: the constructor,
+    from_json, unit and zero reject anything but n nonnegative integers.
+    _trusted skips that check and is only for exponents the library built
+    itself from validated ones (sums, componentwise maxima, solutions of
+    validated inequalities).
+    """
 
     __slots__ = ("n", "gens", "_facets")  # _facets: see newton_facets
 
@@ -64,6 +71,14 @@ class MonomialIdeal:
         pts = [_check_exponent(g, n) for g in gens]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", tuple(_kernels.reduce_antichain(pts)))
+
+    @classmethod
+    def _trusted(cls, n: int, gens: Iterable[Exponent]) -> "MonomialIdeal":
+        """The ideal generated by gens, tuples of n nonnegative ints."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gens", tuple(_kernels.reduce_antichain(gens)))
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("MonomialIdeal is immutable")
@@ -108,7 +123,7 @@ class MonomialIdeal:
             for g in self.gens
             for h in other.gens
         ]
-        return MonomialIdeal(self.n, sums)
+        return MonomialIdeal._trusted(self.n, sums)
 
     def __pow__(self, m: int) -> "MonomialIdeal":
         if m < 0:
@@ -127,7 +142,7 @@ class MonomialIdeal:
             for g in self.gens
             for h in other.gens
         ]
-        return MonomialIdeal(self.n, tops)
+        return MonomialIdeal._trusted(self.n, tops)
 
     def __le__(self, other: "MonomialIdeal") -> bool:
         """Inclusion self <= other."""
@@ -146,31 +161,33 @@ class MonomialIdeal:
     def __hash__(self):
         return hash((self.n, self.gens))
 
+    def _pure_powers(self) -> dict[int, int]:
+        """{j: b} for each generator x_j^b, in one pass over the generators.
+
+        A minimal generating set holds at most one pure power per variable;
+        the generator 1 of the unit ideal is x_j^0 for every j.
+        """
+        n = self.n
+        found = {}
+        for g in self.gens:
+            zeros = g.count(0)
+            if zeros == n:
+                return dict.fromkeys(range(n), 0)
+            if zeros == n - 1:
+                b = max(g)
+                found[g.index(b)] = b
+        return found
+
     def is_primary(self) -> bool:
         """True when the ideal contains a pure power of every variable."""
-        if self.is_zero:
-            return False
-        for j in range(self.n):
-            if not any(
-                all(g[k] == 0 for k in range(self.n) if k != j) for g in self.gens
-            ):
-                return False
-        return True
+        return len(self._pure_powers()) == self.n
 
     def pure_power_bounds(self) -> tuple[int, ...]:
         """For each variable j the least b with x_j^b in the ideal."""
-        if not self.is_primary():
+        found = self._pure_powers()
+        if len(found) < self.n:
             raise PreconditionError("ideal misses a pure power of some variable")
-        bounds = []
-        for j in range(self.n):
-            bounds.append(
-                min(
-                    g[j]
-                    for g in self.gens
-                    if all(g[k] == 0 for k in range(self.n) if k != j)
-                )
-            )
-        return tuple(bounds)
+        return tuple(found[j] for j in range(self.n))
 
     def min_total_degree(self) -> int:
         if self.is_zero:
@@ -491,17 +508,17 @@ def system_level(
     length n and an exact threshold.  A constraint with w = 0 and a
     positive threshold makes the ideal zero.
     """
+    if n < 1:
+        raise PreconditionError("ambient dimension must be >= 1")
     rows = []
     for w, threshold, strict in constraints:
-        w = tuple(w)
-        if len(w) != n:
-            raise DimensionMismatchError("dimension mismatch")
+        w = _check_exponent(w, n)  # so the generators built from w are trusted
         c = _resolve_threshold(threshold, strict)
         if c > 0:
             rows.append((w, c))
     if not rows:
         return MonomialIdeal.unit(n)
-    return MonomialIdeal(n, _minimal_rows(n, rows))
+    return MonomialIdeal._trusted(n, _minimal_rows(n, rows))
 
 
 def _minimal_rows(n: int, rows: list[tuple[tuple[int, ...], int]]) -> list[Exponent]:

@@ -67,6 +67,28 @@ class TestReduceAntichainPure:
                 pts = rand_points(rnd, n, rnd.randint(0, 25), 6)
                 assert kernels.reduce_antichain(pts) == canon(pts)
 
+    def test_3d_equal_x_ties(self):
+        # (2, 3, 1) takes the place of the kept (2, 5) in the sweep's
+        # staircase and dominates (2, 4, 2) and (2, 3, 3); at z = 6 the
+        # point with the same x and the smaller y dominates the other
+        pts = [(2, 5, 0), (2, 4, 2), (2, 3, 1), (2, 3, 3), (1, 9, 4), (5, 1, 6), (5, 0, 6)]
+        assert kernels.reduce_antichain(pts) == [(2, 3, 1), (2, 5, 0), (5, 0, 6), (1, 9, 4)]
+
+    def test_deep_sets_with_ties(self):
+        # up to 500 points, coordinates <= 40, each coordinate drawn from a
+        # few values so that equal x at equal z (and every other tie) is
+        # common; n = 3 runs the sweep, n = 4 the quadratic scan
+        rnd = random.Random(23)
+        for n in (3, 4):
+            for _ in range(25):
+                values = [rnd.sample(range(41), rnd.randint(1, 8)) for _ in range(n)]
+                k = rnd.randint(2, 500)
+                pts = [tuple(rnd.choice(v) for v in values) for _ in range(k)]
+                assert kernels.reduce_antichain(pts) == canon(pts)
+            for _ in range(10):
+                pts = rand_points(rnd, n, rnd.randint(2, 500), 40)
+                assert kernels.reduce_antichain(pts) == canon(pts)
+
 
 class TestHelpersPure:
     def test_any_le(self):

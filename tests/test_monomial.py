@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from samfilt import (
     DimensionMismatchError,
     MonomialIdeal,
+    ParseError,
     PreconditionError,
     SupportPoly,
     as_exact,
@@ -17,6 +19,7 @@ from samfilt import (
     np_threshold_level,
     np_value,
     sqrt,
+    system_level,
 )
 
 from oracles import (
@@ -126,6 +129,114 @@ class TestMonomialIdeal:
             m = rnd.randint(1, 3)
             want = minimal_points(power_gens(gens, m))
             assert sorted((I**m).gens) == want
+
+
+def revalidated(I):
+    """I rebuilt through the validating constructor, which checks that every
+    generator is n nonnegative ints."""
+    J = MonomialIdeal(I.n, I.gens)
+    assert J.gens == I.gens
+    return J
+
+
+class TestValidationBoundary:
+    BAD = [(-1, 2), (True, 2), (1.0, 2), (1, 2, 3), (1,)]
+
+    @pytest.mark.parametrize("gen", BAD)
+    def test_public_constructor_rejects(self, gen):
+        with pytest.raises(PreconditionError):
+            MonomialIdeal(2, [(1, 1), gen])
+
+    @pytest.mark.parametrize("gen", BAD)
+    def test_from_json_raises_parse_error(self, gen):
+        with pytest.raises(ParseError):
+            MonomialIdeal.from_json({"n": 2, "gens": [[1, 1], list(gen)]})
+
+    @pytest.mark.parametrize("w", BAD)
+    def test_system_level_rejects_bad_weights(self, w):
+        with pytest.raises(PreconditionError):
+            system_level(2, [((1, 1), 3, False), (w, 3, False)])
+
+    def test_built_ideals_equal_validated_rebuilds(self):
+        rnd = random.Random(29)
+        for _ in range(60):
+            n = rnd.randint(1, 4)
+            I, J = random_ideal(rnd, n, 5), random_ideal(rnd, n, 5)
+            assert revalidated(I * J) == MonomialIdeal(
+                n, [tuple(map(sum, zip(g, h))) for g in I.gens for h in J.gens]
+            )
+            assert revalidated(I & J) == MonomialIdeal(
+                n, [tuple(map(max, zip(g, h))) for g in I.gens for h in J.gens]
+            )
+            # a minimal generator e has e_i <= ceil(c) + 1 for the largest
+            # threshold c, so the box below holds every one of them
+            hi = 12 if n < 4 else 6
+            rows = [
+                (
+                    tuple(rnd.randint(0, 3) for _ in range(n)),
+                    Fraction(rnd.randint(0, hi), rnd.randint(1, 3)),
+                    rnd.random() < 0.5,
+                )
+                for _ in range(rnd.randint(1, 3))
+            ]
+            box = range(max(math.ceil(c) for _, c, _ in rows) + 2)
+            members = [
+                e
+                for e in itertools.product(box, repeat=n)
+                if all(
+                    (operator.gt if strict else operator.ge)(sum(map(operator.mul, w, e)), c)
+                    for w, c, strict in rows
+                )
+            ]
+            assert revalidated(system_level(n, rows)) == MonomialIdeal(n, members)
+
+
+def pure_powers_by_membership(I):
+    """Least b with x_j^b in I for each j, None when no power of x_j is in I."""
+    top = max((max(g) for g in I.gens), default=0)
+    return [
+        next(
+            (b for b in range(top + 1) if I.contains_exponent(tuple(b * (k == j) for k in range(I.n)))),
+            None,
+        )
+        for j in range(I.n)
+    ]
+
+
+class TestPurePowers:
+    @pytest.mark.parametrize(
+        "I",
+        [
+            MonomialIdeal.unit(1),
+            MonomialIdeal.unit(3),
+            MonomialIdeal.zero(1),
+            MonomialIdeal.zero(3),
+            MonomialIdeal(1, [(4,)]),
+            MonomialIdeal(4, [(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 5, 0), (0, 0, 0, 1), (1, 1, 1, 0)]),
+            MonomialIdeal(4, [(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 5, 0), (1, 0, 0, 1)]),
+            MonomialIdeal(3, [(2, 0, 0), (0, 3, 0), (1, 1, 1)]),
+            # the pure powers come after (1, 1) in canonical order
+            MonomialIdeal(2, [(7, 0), (1, 1), (0, 5)]),
+        ],
+        ids=str,
+    )
+    def test_match_definition(self, I):
+        want = pure_powers_by_membership(I)
+        assert I.is_primary() == (None not in want)
+        if None in want:
+            with pytest.raises(PreconditionError):
+                I.pure_power_bounds()
+        else:
+            assert I.pure_power_bounds() == tuple(want)
+
+    def test_random_match_definition(self):
+        rnd = random.Random(31)
+        for _ in range(80):
+            I = random_ideal(rnd, rnd.randint(1, 4), 6)
+            want = pure_powers_by_membership(I)
+            assert I.is_primary() == (None not in want)
+            if None not in want:
+                assert I.pure_power_bounds() == tuple(want)
 
 
 class TestSupportPoly:
