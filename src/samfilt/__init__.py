@@ -52,7 +52,6 @@ from .filtration import (
     twist,
 )
 from .samuel import (
-    IcResult,
     NubarResult,
     ic_filtration,
     k_filtration,
@@ -96,7 +95,6 @@ __all__ = [
     "Filtration",
     "HorizonExceededError",
     "INF",
-    "IcResult",
     "IrredundantRep",
     "LengthSeries",
     "MixedRadicalError",

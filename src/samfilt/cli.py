@@ -5,9 +5,7 @@ grammar in the filtration module, results go out as exact scalars (and
 as machine-readable JSON under --json; see the schemas module).
 
 Exit codes: 0 ok, 2 parse error, 3 precondition violated, 4 an internal
-limit (table horizon / witness bound / nesting depth) prevented any answer.  Undecided
-*parts* of an otherwise computed answer (e.g. inconclusive monomials in
-an integral closure level) are reported in-band and exit 0.
+limit (table horizon / nesting depth) prevented any answer.
 """
 
 from __future__ import annotations
@@ -153,42 +151,25 @@ def _cmd_bracket(args):
     return _twistlike(args, "bracket", bracket_twist)
 
 
-def _cmd_k(args):
+def _tabulated(args, name, letter, build):
     F = _load_filtration(args.filtration)
-    K = k_filtration(F, args.m_max)
-    lines = ["K_%d = %s" % (m, K.level(m)) for m in range(1, args.m_max + 1)]
+    table = build(F, args.m_max)
+    lines = ["%s_%d = %s" % (letter, m, table.level(m)) for m in range(1, args.m_max + 1)]
     doc = {
-        "command": "k",
+        "command": name,
         "m_max": args.m_max,
-        "levels": _levels_json(K),
-        "filtration": K.to_json(),
+        "levels": _levels_json(table),
+        "filtration": table.to_json(),
     }
     return _emit(args, lines, doc)
+
+
+def _cmd_k(args):
+    return _tabulated(args, "k", "K", k_filtration)
 
 
 def _cmd_ic(args):
-    F = _load_filtration(args.filtration)
-    res = ic_filtration(F, args.m_max, r_max=args.r_max)
-    table = res.filtration
-    lines = ["J_%d = %s" % (m, table.level(m)) for m in range(1, args.m_max + 1)]
-    for m in sorted(res.inconclusive):
-        monos = ", ".join(monomial_str(e) for e in res.inconclusive[m])
-        lines.append(
-            "inconclusive at m=%d: %s (in the saturation, no witness r <= %d)"
-            % (m, monos, res.r_max)
-        )
-    doc = {
-        "command": "ic",
-        "m_max": args.m_max,
-        "r_max": res.r_max,
-        "levels": _levels_json(table),
-        "filtration": table.to_json(),
-        "inconclusive": [
-            [m, [list(e) for e in res.inconclusive[m]]]
-            for m in sorted(res.inconclusive)
-        ],
-    }
-    return _emit(args, lines, doc)
+    return _tabulated(args, "ic", "J", ic_filtration)
 
 
 def _cmd_equiv(args):
@@ -360,8 +341,9 @@ def _build_parser():
     s = sub.add_parser("ic", parents=[common, filt],
                        help="graded integral closure levels")
     s.add_argument("--m-max", type=int, required=True)
-    s.add_argument("--r-max", type=int, default=12,
-                   help="integrality witness search bound (default 12)")
+    s.add_argument("--r-max", type=int, default=None,
+                   help="accepted for compatibility and ignored: the levels "
+                        "are exact over every integrality witness r")
     s.set_defaults(fn=_cmd_ic)
 
     s = sub.add_parser("equiv", parents=[common],

@@ -17,21 +17,29 @@ every level).  Level results are cached per filtration; with the GIL a
 plain dict is safe for concurrent readers, at worst a level is computed
 twice.
 
-Each engine answers five questions by method: asymptotic_order (nubar
-on a nonzero f), saturated_level (K_t = {nubar >= t} for t > 0),
-closure_union ({e : r*e in closure(I_k) for some given (r, k)}),
-value_limit (lim v(I_n)/n) and multiplicity (lim d! colength(I_n) / n^d).
-Adic and DiscreteValued share one implementation of the last four: for
-both, the closure of level k is k*P for one polyhedron P (the Newton
-polyhedron of I; {x >= 0 : w_i . x >= a_i}), so each engine supplies
-P's inequalities and a point set holding its vertices, and every answer
-is exact in any dimension.  Twist answers through its base, scaling by
-alpha there.  The Filtration defaults are the "bounds only" answers of a
-Table: the nubar estimator, no value limit, and PreconditionError for
-the levels and the multiplicity.  closure_level(m, r_max), the graded
-integral closure, is closure_union over the witnesses (r, r*m),
-r <= r_max, with the monomials of K_m outside it pending; the polyhedral
-engines and StairOneVar override it with closed forms exact over every r.
+Each engine answers four questions by method: asymptotic_order (nubar
+on a nonzero f), saturated_level (K_t = {nubar >= t} for t > 0, or
+{nubar > t} when strict), value_limit (lim v(I_n)/n) and multiplicity
+(lim d! colength(I_n) / n^d).  Adic and DiscreteValued share one
+implementation of the last three: for both, the closure of level k is
+k*P for one polyhedron P (the Newton polyhedron of I; {x >= 0 : w_i . x
+>= a_i}), so each engine supplies P's inequalities and a point set
+holding its vertices, and every answer is exact in any dimension.  Twist
+answers through its base, scaling by alpha there.  The Filtration
+defaults are the "bounds only" answers of a Table: the nubar estimator,
+no value limit, and PreconditionError for the levels and the
+multiplicity.
+
+closure_level(m), the graded integral closure J_m = {e : r*e in
+closure(I_{r*m}) for some r >= 1}, is exact over every r and lives once,
+in Filtration.  On a twist chain over a root engine, r*e is in
+closure(I_{r*m}) iff nubar(e) >= m*rho(r), where rho(r) >= 1 is the
+rounding the chain's ceilings (and a stair's shift c) add at scale r and
+tends to 1.  So J_m is the saturated level K_m when rho(r) = 1 for some
+r, which holds exactly when the root reaches it (Adic and DiscreteValued
+at r = 1, a stair when c = 0) and every twist factor is rational; it is
+the strict level {nubar > m} otherwise.  Each engine answers which case
+it is in by _bound_reached.
 """
 
 from __future__ import annotations
@@ -159,20 +167,18 @@ class Filtration:
         """nubar on a nonzero f: the estimator's lower bound by default."""
         return nubar_estimate(self, f, n_max)
 
-    def saturated_level(self, t) -> MonomialIdeal:
-        """{e : nubar(x^e) >= t} for t > 0."""
+    def saturated_level(self, t, strict: bool = False) -> MonomialIdeal:
+        """{e : nubar(x^e) >= t} for t > 0, or {nubar(x^e) > t} if strict."""
         raise PreconditionError(_BOUNDS_ONLY % "saturated levels")
 
-    def closure_union(self, pairs) -> MonomialIdeal:
-        """{e : r*e in closure(level k) for some (r, k) in pairs}, k >= 1."""
+    def _bound_reached(self) -> bool:
+        """Whether some witness r has rho(r) = 1 (see the module docstring),
+        so that the graded integral closure is K_m and not {nubar > m}."""
         raise PreconditionError(_BOUNDS_ONLY % "integral closure levels")
 
-    def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
-        """Graded integral closure at level m >= 1 over the witnesses
-        r <= r_max, and the monomials of K_m no such witness decides."""
-        level = self.closure_union((r, r * m) for r in range(1, r_max + 1))
-        saturated = self.saturated_level(m)
-        return level, [e for e in saturated.gens if not level.contains_exponent(e)]
+    def closure_level(self, m: int) -> MonomialIdeal:
+        """Graded integral closure at level m >= 1, exact over every r."""
+        return self.saturated_level(m, strict=not self._bound_reached())
 
     def value_limit(self, v: MonomialValuation):
         """Closed form of lim v(I_n)/n, or None."""
@@ -206,17 +212,12 @@ class _Polyhedral(Filtration):
     def _points(self) -> list:
         raise NotImplementedError
 
-    def saturated_level(self, t) -> MonomialIdeal:
-        return system_level(self.n, [(l, c * t, False) for l, c in self._rows()])
+    def saturated_level(self, t, strict: bool = False) -> MonomialIdeal:
+        return system_level(self.n, [(l, c * t, strict) for l, c in self._rows()])
 
-    def closure_union(self, pairs) -> MonomialIdeal:
-        # closure(level k) = k*P and nubar is positively homogeneous, so the
-        # union is one saturated level, at the least k/r
-        return self.saturated_level(min(as_exact(k) / r for r, k in pairs))
-
-    def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
-        # closure(level m) = m*P absorbs every witness r, with no power built
-        return self.saturated_level(m), []
+    def _bound_reached(self) -> bool:
+        # closure(level m) = m*P is K_m already at r = 1, with no power built
+        return True
 
     def value_limit(self, v: MonomialValuation):
         """min v.x over P: at a vertex, since v >= 0 and P + orthant = P;
@@ -414,11 +415,14 @@ class Twist(Filtration):
             value = value / self.alpha
         return NubarResult(value, inner.kind, inner.witness_n, inner.truncated)
 
-    def saturated_level(self, t) -> MonomialIdeal:
-        return self.base.saturated_level(self.alpha * t)
+    def saturated_level(self, t, strict: bool = False) -> MonomialIdeal:
+        return self.base.saturated_level(self.alpha * t, strict)
 
-    def closure_union(self, pairs) -> MonomialIdeal:
-        return self.base.closure_union((r, ceil_mul(self.alpha, k)) for r, k in pairs)
+    def _bound_reached(self) -> bool:
+        # rho(r) = 1 needs alpha*k integral at the index k this twist reads
+        # for witness r, which some multiple of r gives iff alpha is
+        # rational; the base is asked first, so a table base refuses
+        return self.base._bound_reached() and self.alpha.is_rational
 
     def value_limit(self, v: MonomialValuation):
         inner = self.base.value_limit(v)
@@ -473,21 +477,14 @@ class StairOneVar(Filtration):
     def asymptotic_order(self, f: SupportPoly, n_max: int) -> NubarResult:
         return NubarResult(as_exact(f.order_1var()) / self.alpha, "exact")
 
-    def saturated_level(self, t) -> MonomialIdeal:
-        return MonomialIdeal(1, [((self.alpha * t).ceil(),)])
+    def saturated_level(self, t, strict: bool = False) -> MonomialIdeal:
+        t = self.alpha * t
+        return MonomialIdeal(1, [(t.floor() + 1 if strict else t.ceil(),)])
 
-    def closure_union(self, pairs) -> MonomialIdeal:
-        # level k is the closed principal ideal (x^(ceil(alpha*k)+c))
-        q = min(-(-(ceil_mul(self.alpha, k) + self.c) // r) for r, k in pairs)
-        return MonomialIdeal(1, [(q,)])
-
-    def closure_level(self, m: int, r_max: int) -> tuple[MonomialIdeal, list]:
-        """x^q is integral at level m iff q*r >= ceil(alpha*r*m) + c for
-        some r >= 1: strictly above the slope always works, on the slope
-        only when c = 0."""
-        t = self.alpha * m
-        q = t.as_int() + (1 if self.c else 0) if t.is_integer else t.ceil()
-        return MonomialIdeal(1, [(q,)]), []
+    def _bound_reached(self) -> bool:
+        # r*q >= ceil(alpha*k) + c holds on the slope q = alpha*k/r only
+        # when c = 0; strictly above it some large r always works
+        return self.c == 0
 
     def value_limit(self, v: MonomialValuation):
         return as_exact(v.w[0]) * self.alpha

@@ -8,20 +8,18 @@ Table filtrations only admit certified lower bounds.
 k_filtration(F, m_max) tabulates the saturated filtration K_m = {nubar >= m},
 the unique largest filtration with the same asymptotic order.
 
-ic_filtration(F, m_max, r_max) tabulates the graded integral closure
-J_m = {f : f^r in closure(I_{r m}) for some r}, exact for the Adic,
-DiscreteValued and StairOneVar engines.  On a twist chain witnesses r
-count up to r_max: J_m is the one saturated level at the least k/r, k the
-root's index for level r*m, and the monomials of K_m outside it are
-reported as inconclusive instead of being silently dropped or included.
+ic_filtration(F, m_max) tabulates the graded integral closure
+J_m = {f : f^r in closure(I_{r m}) for some r >= 1}, exact over every r
+for the same engines.  J_m is K_m when some witness r reaches the bound
+nubar >= m, and the strict level {nubar > m} when none does (a stair with
+shift c > 0, or an irrational twist factor); only then can J_m sit
+strictly inside K_m.
 
 The closed forms themselves are engine methods (see the filtration
 module); the functions here validate their input and tabulate.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .errors import PreconditionError
 from .exactnum import INF, as_exact, ceil_of
@@ -32,7 +30,7 @@ from .filtration import (  # NubarResult and nubar_estimate are public here too
     Table,
     nubar_estimate,
 )
-from .monomial import Exponent, SupportPoly
+from .monomial import SupportPoly
 
 
 def nubar(F: Filtration, f: SupportPoly, n_max: int = 24) -> NubarResult:
@@ -48,46 +46,20 @@ def nubar(F: Filtration, f: SupportPoly, n_max: int = 24) -> NubarResult:
     return F.asymptotic_order(f, n_max)
 
 
+def _tabulate(level, m_max: int) -> Table:
+    if m_max < 1:
+        raise PreconditionError("m_max must be >= 1")
+    return Table({m: level(m) for m in range(1, m_max + 1)}, m_max, validate=False)
+
+
 def k_filtration(F: Filtration, m_max: int) -> Table:
     """Tabulate K_m = {nubar >= m} for m = 1..m_max."""
-    if m_max < 1:
-        raise PreconditionError("m_max must be >= 1")
-    levels = {m: F.saturated_level(m) for m in range(1, m_max + 1)}
-    return Table(levels, m_max, validate=False)
+    return _tabulate(F.saturated_level, m_max)
 
 
-@dataclass
-class IcResult:
-    """Graded integral closure up to m_max.
-
-    filtration holds the certified levels J_m; inconclusive maps a level
-    index to the monomials that lie in K_m but were not witnessed by any
-    r <= r_max, so their membership in J_m is undecided.  Such monomials
-    are left out of the reported level (an inner approximation) — when
-    genuinely outside J_m they witness that the integral closure is a
-    proper subfiltration of the saturation.
-    """
-
-    filtration: Table
-    r_max: int
-    inconclusive: dict[int, list[Exponent]] = field(default_factory=dict)
-
-
-def ic_filtration(F: Filtration, m_max: int, r_max: int = 12) -> IcResult:
+def ic_filtration(F: Filtration, m_max: int) -> Table:
     """Tabulate the graded integral closure J_m for m = 1..m_max."""
-    if m_max < 1:
-        raise PreconditionError("m_max must be >= 1")
-    if r_max < 1:
-        raise PreconditionError("r_max must be >= 1")
-    levels = {}
-    inconclusive = {}
-    for m in range(1, m_max + 1):
-        level, pending = F.closure_level(m, r_max)
-        levels[m] = level
-        if pending:
-            inconclusive[m] = pending
-    table = Table(levels, m_max, validate=False)
-    return IcResult(filtration=table, r_max=r_max, inconclusive=inconclusive)
+    return _tabulate(F.closure_level, m_max)
 
 
 def rees_graded_integral_1var(alpha, c: int, f_ord: int, n: int) -> bool:
@@ -100,8 +72,7 @@ def rees_graded_integral_1var(alpha, c: int, f_ord: int, n: int) -> bool:
     stair = StairOneVar(alpha, c)
     if f_ord < 1 or n < 1:
         raise PreconditionError("f_ord and n must be positive")
-    level, _ = stair.closure_level(n, 1)
-    return level.contains_exponent((f_ord,))
+    return stair.closure_level(n).contains_exponent((f_ord,))
 
 
 def rees_integral_witness_1var(alpha, c: int, f_ord: int, n: int):

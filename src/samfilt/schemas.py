@@ -60,6 +60,22 @@ _PAIRS = {
     },
 }
 
+
+def _tabulated(command):
+    """Levels 1..m_max of a computed filtration (k and ic)."""
+    return {
+        "type": "object",
+        "properties": {
+            "command": {"const": command},
+            "m_max": {"type": "integer"},
+            "levels": _LEVELS,
+            "filtration": _FILTRATION,
+        },
+        "required": ["command", "m_max", "levels", "filtration"],
+        "additionalProperties": False,
+    }
+
+
 SCHEMAS = {
     "nu": {
         "type": "object",
@@ -97,41 +113,8 @@ SCHEMAS = {
         "required": ["command", "filtration"],
         "additionalProperties": False,
     },
-    "k": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "k"},
-            "m_max": {"type": "integer"},
-            "levels": _LEVELS,
-            "filtration": _FILTRATION,
-        },
-        "required": ["command", "m_max", "levels", "filtration"],
-        "additionalProperties": False,
-    },
-    "ic": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "ic"},
-            "m_max": {"type": "integer"},
-            "r_max": {"type": "integer"},
-            "levels": _LEVELS,
-            "filtration": _FILTRATION,
-            "inconclusive": {
-                "type": "array",
-                "items": {
-                    "type": "array",
-                    "prefixItems": [
-                        {"type": "integer"},
-                        {"type": "array", "items": _EXPONENT},
-                    ],
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-            },
-        },
-        "required": ["command", "m_max", "r_max", "levels", "inconclusive"],
-        "additionalProperties": False,
-    },
+    "k": _tabulated("k"),
+    "ic": _tabulated("ic"),
     "equiv": {
         "type": "object",
         "properties": {

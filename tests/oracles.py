@@ -8,9 +8,10 @@ simplex (tested on its own in test_linprog).  dv_multiplicity_ie, the
 inclusion-exclusion the library used for discrete valued multiplicities
 in d <= 3 before the covolume triangulation, computes in the library's
 exact scalars.
-closure_level_by_witnesses, the witness union the library used for
-twisted closure levels before it read one saturated level, builds its
-levels and closures with the library's engines and integral_closure.
+closure_level_by_witnesses, the witness union over r <= r_max the
+library used for twisted closure levels before they became exact over
+every r, builds its levels and closures with the library's engines and
+integral_closure.
 dv_value_limit_lp is the LP the library solved for discrete valued value
 limits before it took the least value over the vertices of the polyhedron.
 """
@@ -336,19 +337,15 @@ def dv_multiplicity_ie(pairs):
 
 
 def closure_level_by_witnesses(F, m, r_max):
-    """(level, pending) of the graded integral closure of F at level m.
+    """The union over r <= r_max of {e : r*e in closure(F.level(r*m))}.
 
-    level is the union over r <= r_max of {e : r*e in closure(F.level(r*m))},
-    whose minimal elements are the componentwise ceilings g/r over the
-    generators g of those closures; pending lists the generators of
-    F.saturated_level(m) outside it.  Builds every level r*m."""
+    Its minimal elements are the componentwise ceilings g/r over the
+    generators g of those closures.  Builds every level r*m."""
     cand = set()
     for r in range(1, r_max + 1):
         for g in integral_closure(F.level(r * m)).gens:
             cand.add(tuple(-(-x // r) for x in g))
-    level = MonomialIdeal(F.n, cand)
-    saturated = F.saturated_level(m)
-    return level, [e for e in saturated.gens if not level.contains_exponent(e)]
+    return MonomialIdeal(F.n, cand)
 
 
 def dv_value_limit_lp(pairs, w):

@@ -207,28 +207,27 @@ class TestK:
 
 
 class TestIc:
+    # the level-1 witness for x and y needs r = 2; --r-max is accepted for
+    # compatibility and ignored, so no bound leaves a monomial undecided
+    R_MAX = ([], ["--r-max", "1"], ["--r-max", "1000000000"])
+
     def test_inconclusive_text(self, run, files):
-        rc, out, _ = run(
-            "ic", "-f", files["tw_dv"], "--m-max", "1", "--r-max", "1"
-        )
-        assert rc == 0
-        assert out.splitlines() == [
-            "J_1 = (y^2, x*y, x^2)",
-            "inconclusive at m=1: y, x (in the saturation, no witness r <= 1)",
-        ]
+        outputs = {run("ic", "-f", files["tw_dv"], "--m-max", "2", *extra)
+                   for extra in self.R_MAX}
+        assert outputs == {(0, "J_1 = (y, x)\nJ_2 = (y^2, x*y, x^2)\n", "")}
 
     def test_inconclusive_json(self, run, files):
-        doc = run_json(
-            run, "ic", "-f", files["tw_dv"], "--m-max", "1", "--r-max", "1"
-        )
-        assert doc["inconclusive"] == [[1, [[0, 1], [1, 0]]]]
-        assert doc["r_max"] == 1
+        docs = [run_json(run, "ic", "-f", files["tw_dv"], "--m-max", "2", *extra)
+                for extra in self.R_MAX]
+        assert docs[0] == docs[1] == docs[2]
+        assert sorted(docs[0]) == ["command", "filtration", "levels", "m_max"]
+        assert docs[0]["levels"][0] == [1, {"gens": [[0, 1], [1, 0]], "n": 2}]
 
     def test_conclusive(self, run, files):
         rc, out, _ = run("ic", "-f", files["adic"], "--m-max", "1")
         assert rc == 0 and out == "J_1 = (x^2, y^3, x*y^2)\n"
         doc = run_json(run, "ic", "-f", files["adic"], "--m-max", "1")
-        assert doc["inconclusive"] == []
+        assert sorted(doc) == ["command", "filtration", "levels", "m_max"]
 
 
 class TestEquiv:

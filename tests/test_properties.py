@@ -189,7 +189,7 @@ def test_saturation_sandwich():
         payload = {"suite": "saturation_sandwich", "seed": SEED, "case": i,
                    "engine": desc, "e": list(e)}
         K = k_filtration(F, m_max)
-        J = ic_filtration(F, m_max).filtration
+        J = ic_filtration(F, m_max)
         for m in range(1, m_max + 1):
             assert F.level(m) <= J.level(m) <= K.level(m), reproducer(payload)
         # compare estimates under identical horizon semantics

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from samfilt import (
     StairOneVar,
     SupportPoly,
     Table,
+    Twist,
     bracket_twist,
     filtration_value,
     ic_filtration,
@@ -28,7 +30,7 @@ from samfilt import (
     sqrt,
     twist,
 )
-from samfilt.exactnum import as_exact, ceil_of
+from samfilt.exactnum import as_exact, ceil_mul, ceil_of
 from samfilt.valuation import MonomialValuation
 
 from oracles import adic_order, closure_level_by_witnesses, np_value_lp
@@ -227,12 +229,42 @@ class TestKFiltration:
             k_filtration(Adic(BOX), 0)
 
 
+def _root_index(F, k):
+    """The root under F's twists and the root index that F's level k reads."""
+    while isinstance(F, Twist):
+        k = ceil_mul(F.alpha, k)
+        F = F.base
+    return F, k
+
+
+def _has_witness(F, e, m, r_max):
+    """Some r <= r_max with r*e in closure(level r*m of F), decided at the
+    root: the closure of an Adic or DiscreteValued level k is k*P, and a
+    stair's levels are closed principal ideals."""
+    root, _ = _root_index(F, 1)
+    if isinstance(root, Adic):
+        if root.ideal.is_unit:
+            return True  # every level is R
+        v = np_value_lp(root.ideal.gens, e)
+    for r in range(1, r_max + 1):
+        _, k = _root_index(F, r * m)
+        if isinstance(root, StairOneVar):
+            ok = r * e[0] >= ceil_mul(root.alpha, k) + root.c
+        elif isinstance(root, Adic):
+            ok = r * v >= k
+        else:
+            ok = all(r * sum(map(operator.mul, w.w, e)) >= ceil_mul(a, k)
+                     for w, a in root.pairs)
+        if ok:
+            return True
+    return False
+
+
 class TestIcFiltration:
     def test_adic_levels_are_closures_of_powers(self):
-        res = ic_filtration(Adic(BOX), 3)
+        J = ic_filtration(Adic(BOX), 3)
         for m in range(1, 4):
-            assert res.filtration.level(m) == integral_closure(BOX**m)
-        assert res.inconclusive == {}
+            assert J.level(m) == integral_closure(BOX**m)
 
     def test_adic_closure_level_without_the_power(self):
         # closure(I^m) = {nubar >= m}, read off the facets of I; I^m is not
@@ -251,8 +283,8 @@ class TestIcFiltration:
             for I in ideals:
                 for m in range(1, 5):
                     A = Adic(I)
-                    level, pending = A.closure_level(m, 1)
-                    assert pending == [] and m not in A._cache
+                    level = A.closure_level(m)
+                    assert m not in A._cache
                     t = Fraction(2 * m - 1, 2)
                     if I.is_proper_nonzero:
                         assert level == np_threshold_level(I, m), (I, m)
@@ -262,45 +294,47 @@ class TestIcFiltration:
                     assert level == integral_closure(A.level(m)), (I, m)
 
     def test_twisted_3d_adic(self):
-        # J_m = {e : r*e in closure(I^ceil(3rm/2)) for some r <= 6}, which
-        # here reaches K_m = {nubar >= 3m/2}; checked point by point on a
-        # box holding every generator, with one LP per point
+        # J_m = {e : r*e in closure(I^ceil(3rm/2)) for some r}, which r = 2
+        # already takes to K_m = {nubar >= 3m/2}; checked point by point on
+        # a box holding every generator, with one LP per point
         I = MonomialIdeal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 5), (1, 1, 1)])
         alpha = Fraction(3, 2)
-        res = ic_filtration(twist(Adic(I), alpha), 2, r_max=6)
-        assert res.inconclusive == {}
+        J = ic_filtration(twist(Adic(I), alpha), 2)
         box = (6, 9, 15)
         order = {
             e: np_value_lp(I.gens, e)
             for e in itertools.product(*(range(b + 1) for b in box))
         }
         for m in (1, 2):
-            J = res.filtration.level(m)
-            assert all(g in order for g in J.gens)
+            level = J.level(m)
+            assert all(g in order for g in level.gens)
             for e, v in order.items():
                 witnessed = any(r * v >= ceil_of(alpha * r * m) for r in range(1, 7))
-                assert J.contains_exponent(e) == witnessed == (v >= alpha * m), (m, e)
+                assert level.contains_exponent(e) == witnessed == (v >= alpha * m), (m, e)
 
     def test_twisted_3d_adic_builds_no_power(self):
         # each J_m is the one saturated level {nubar >= 3m/2}, read with no
-        # power I^k built (witnesses r <= 8 reach k = 36)
+        # power I^k built
         I = MonomialIdeal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 5), (1, 1, 1)])
         A = Adic(I)
         F = twist(A, Fraction(3, 2))
-        res = ic_filtration(F, 3, r_max=8)
-        assert res.inconclusive == {}
+        J = ic_filtration(F, 3)
         K = k_filtration(F, 3)
         for m in (1, 2, 3):
-            assert res.filtration.level(m) == K.level(m)
+            assert J.level(m) == K.level(m)
         assert not [k for k in A._cache if k >= 1] and not F._cache
 
     def test_closure_level_matches_witness_union(self):
-        # against the r-loop over closures of the built levels r*m; stair
-        # roots are twisted (their own closed form holds for every r) and
-        # include shifts c > r_max
+        # exact over every witness r: the witness union up to r <= 5 lies
+        # inside J_m and reaches it at the least r whose root index is
+        # theta*r (theta = m times the product of the twist factors), when
+        # there is one and the root is not a shifted stair; every generator
+        # of J_m has a witness through the root, and no generator of
+        # K_m outside J_m has one up to r = 3000
         rnd = random.Random(89)
         scales = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(5, 3),
                   sqrt(2), ExactReal(1, 1, 2, 2)]
+        gaps = 0
         for i in range(90):
             kind = i % 3
             n = rnd.choice((2, 3))
@@ -315,31 +349,48 @@ class TestIcFiltration:
             else:
                 F = DV(*[(tuple(rnd.randint(1, 3) for _ in range(n)), rnd.choice(scales))
                          for _ in range(rnd.randint(1, 2))])
+            theta = as_exact(1)
             for _ in range(rnd.randint(kind == 0, 2)):
-                F = twist(F, rnd.choice(scales))
+                alpha = rnd.choice(scales)
+                F = twist(F, alpha)
+                theta = theta * alpha
             m, r_max = rnd.randint(1, 2), rnd.randint(1, 5)
-            got = F.closure_level(m, r_max)
-            assert got == closure_level_by_witnesses(F, m, r_max), (F, m, r_max)
+            J = F.closure_level(m)
+            K = F.saturated_level(m)
+            assert closure_level_by_witnesses(F, m, r_max) <= J, (F, m, r_max)
+            root, _ = _root_index(F, 1)
+            if not (isinstance(root, StairOneVar) and root.c):
+                exact = [r for r in range(1, 10)
+                         if _root_index(F, r * m)[1] == theta * m * r]
+                if exact:
+                    assert closure_level_by_witnesses(F, m, exact[0]) == J == K, (F, m)
+            for e in J.gens:
+                assert _has_witness(F, e, m, 3000), (F, m, e)
+            outside = [e for e in K.gens if not J.contains_exponent(e)]
+            for e in outside:
+                assert not _has_witness(F, e, m, 3000), (F, m, e)
+            gaps += bool(outside)
+        assert gaps  # some chain has J_m strictly inside K_m
 
     @pytest.mark.parametrize(
-        "F,r_max,gen,pending",
+        "F",
         [
-            # q = min over r of ceil((ceil(1*r) + 3)/r): r = 1 gives 4 ...
-            (twist(StairOneVar(1, 3), 1), 1, 4, [(1,)]),
-            # ... and r = 3 or 4 gives 2; x lies in K_1 = (x) but never in J_1
-            (twist(StairOneVar(1, 3), 1), 4, 2, [(1,)]),
-            # the stair's own form holds for every r: r*q >= r + 3 at q = 2
-            (StairOneVar(1, 3), 1, 2, []),
+            # q = min over r of ceil((ceil(1*r) + 3)/r) = 2, at r >= 3; x lies
+            # in K_1 = (x) but is never integral
+            twist(StairOneVar(1, 3), 1),
+            # level k of the stair is x^(2*ceil(k/2) + 3): nubar(x^q) = q again
+            twist(StairOneVar(2, 3), Fraction(1, 2)),
+            # the stair's own form: r*q >= r + 3 needs q >= 2
+            StairOneVar(1, 3),
         ],
     )
-    def test_twisted_stair(self, F, r_max, gen, pending):
-        res = ic_filtration(F, 1, r_max=r_max)
-        assert res.filtration.level(1).gens == ((gen,),)
-        assert res.inconclusive == ({1: pending} if pending else {})
+    def test_twisted_stair(self, F):
+        assert ic_filtration(F, 1).level(1).gens == ((2,),)
+        assert k_filtration(F, 1).level(1).gens == ((1,),)
 
     def test_adic_level_two_frozen(self):
-        res = ic_filtration(Adic(BOX), 2)
-        assert res.filtration.level(2).gens == (
+        J = ic_filtration(Adic(BOX), 2)
+        assert J.level(2).gens == (
             (4, 0),
             (2, 3),
             (3, 2),
@@ -349,49 +400,44 @@ class TestIcFiltration:
 
     def test_dv_fixed(self):
         F = DV(((1, 2), 1), ((2, 1), Fraction(3, 2)))
-        res = ic_filtration(F, 3)
+        J = ic_filtration(F, 3)
         for m in range(4):
-            assert res.filtration.level(m) == F.level(m)
-        assert res.inconclusive == {}
+            assert J.level(m) == F.level(m)
 
     def test_stair_exact(self):
-        res = ic_filtration(StairOneVar(1, 1), 3)
-        assert [res.filtration.level(m).gens[0][0] for m in (1, 2, 3)] == [2, 3, 4]
-        assert res.inconclusive == {}
+        J = ic_filtration(StairOneVar(1, 1), 3)
+        assert [J.level(m).gens[0][0] for m in (1, 2, 3)] == [2, 3, 4]
 
     def test_stair_no_offset(self):
-        res = ic_filtration(StairOneVar(Fraction(3, 2), 0), 3)
-        assert [res.filtration.level(m).gens[0][0] for m in (1, 2, 3)] == [2, 3, 5]
+        J = ic_filtration(StairOneVar(Fraction(3, 2), 0), 3)
+        assert [J.level(m).gens[0][0] for m in (1, 2, 3)] == [2, 3, 5]
 
     def test_rational_twist_reaches_saturation(self):
-        F = DV(((1, 1), 1))
-        res = ic_filtration(twist(F, Fraction(3, 2)), 2, r_max=4)
-        K = k_filtration(twist(F, Fraction(3, 2)), 2)
+        F = twist(DV(((1, 1), 1)), Fraction(3, 2))
+        J = ic_filtration(F, 2)
+        K = k_filtration(F, 2)
         for m in (1, 2):
-            assert res.filtration.level(m) == K.level(m)
-        assert res.inconclusive == {}
+            assert J.level(m) == K.level(m)
 
     def test_witness_bound_sensitivity(self):
-        # alpha = 1/2, scale 2: the level-1 witness needs r = 2
+        # alpha = 1/2, scale 2: the level-1 witness for x and y needs r = 2,
+        # which the exact level includes
         T = twist(DV(((1, 1), 2)), Fraction(1, 2))
-        lo = ic_filtration(T, 1, r_max=1)
-        hi = ic_filtration(T, 1, r_max=2)
-        assert lo.filtration.level(1).gens == ((0, 2), (1, 1), (2, 0))
-        assert lo.inconclusive == {1: [(0, 1), (1, 0)]}
-        assert hi.filtration.level(1).gens == ((0, 1), (1, 0))
-        assert hi.inconclusive == {}
+        assert ic_filtration(T, 1).level(1).gens == ((0, 1), (1, 0))
+        assert closure_level_by_witnesses(T, 1, 1).gens == ((0, 2), (1, 1), (2, 0))
+        assert closure_level_by_witnesses(T, 1, 2) == T.closure_level(1)
 
     def test_irrational_boundary_reported(self):
+        # nubar(x^e) = |e|, and no witness r reaches ceil(sqrt(2)*r*m) /
+        # (sqrt(2)*r) = m, so J_m is the strict level {|e| > m}
         a = ExactReal(0, 1, 2, 2)  # sqrt(2)/2
         T = twist(DV(((1, 1), a)), sqrt(2))
-        res = ic_filtration(T, 2, r_max=6)
+        J = ic_filtration(T, 2)
         K = k_filtration(T, 2)
-        assert res.filtration.level(1).gens == ((0, 2), (1, 1), (2, 0))
+        assert J.level(1).gens == ((0, 2), (1, 1), (2, 0))
         assert K.level(1).gens == ((0, 1), (1, 0))
-        assert res.inconclusive == {
-            1: [(0, 1), (1, 0)],
-            2: [(0, 2), (1, 1), (2, 0)],
-        }
+        assert J.level(1) <= K.level(1) and J.level(1) != K.level(1)
+        assert J.level(2).gens == ((0, 3), (1, 2), (2, 1), (3, 0))
 
     def test_sandwich_between_levels_and_saturation(self):
         engines = [
@@ -400,35 +446,38 @@ class TestIcFiltration:
             twist(DV(((1, 2), 1), ((2, 1), 1)), sqrt(2)),
         ]
         for F in engines:
-            res = ic_filtration(F, 3)
+            J = ic_filtration(F, 3)
             K = k_filtration(F, 3)
             for m in range(4):
-                J = res.filtration.level(m)
                 for g in F.level(m).gens:
-                    assert J.contains_exponent(g), (F, m)
-                for g in J.gens:
+                    assert J.level(m).contains_exponent(g), (F, m)
+                for g in J.level(m).gens:
                     assert K.level(m).contains_exponent(g), (F, m)
 
     def test_inconclusive_points_lie_in_saturation_gap(self):
+        # the monomials of K_m outside J_m lie on the boundary nubar = m
+        # and are not integral: no witness r reaches them
         a = ExactReal(0, 1, 2, 2)
         T = twist(DV(((1, 1), a)), sqrt(2))
-        res = ic_filtration(T, 2, r_max=6)
+        J = ic_filtration(T, 2)
         K = k_filtration(T, 2)
-        for m, pts in res.inconclusive.items():
-            J = res.filtration.level(m)
-            for e in pts:
-                assert K.level(m).contains_exponent(e)
-                assert not J.contains_exponent(e)
+        assert J.level(1).gens == ((0, 2), (1, 1), (2, 0))
+        assert J.level(2).gens == ((0, 3), (1, 2), (2, 1), (3, 0))
+        for m in (1, 2):
+            gap = [e for e in K.level(m).gens if not J.level(m).contains_exponent(e)]
+            assert gap == list(K.level(m).gens)
+            for e in gap:
+                assert nubar(T, mono(e)).value == m
+                assert not _has_witness(T, e, m, 3000)
 
     def test_table_input_rejected(self):
         with pytest.raises(PreconditionError):
             ic_filtration(Table({1: BOX}, 1), 1)
 
     def test_bad_parameters(self):
-        with pytest.raises(PreconditionError):
-            ic_filtration(Adic(BOX), 0)
-        with pytest.raises(PreconditionError):
-            ic_filtration(Adic(BOX), 2, r_max=0)
+        for m_max in (0, -1):
+            with pytest.raises(PreconditionError):
+                ic_filtration(Adic(BOX), m_max)
 
 
 class TestTwistOverTable:
@@ -451,12 +500,13 @@ class TestTwistOverTable:
         res = filtration_value((1, 1), twist(self.T, 2), 1)
         assert res.exact is None and res.upper.as_fraction() == 4
 
-    @pytest.mark.parametrize("r_max", [2, 12])
-    def test_no_closure_levels_and_nothing_built(self, r_max):
+    @pytest.mark.parametrize("m_max", [2, 12])
+    def test_no_closure_levels_and_nothing_built(self, m_max):
+        # refused before any level is read, within the horizon or past it
         T = Table({1: BOX, 2: BOX * BOX}, 2)
         G = twist(T, 1)
         with pytest.raises(PreconditionError, match="integral closure levels"):
-            ic_filtration(G, 1, r_max=r_max)
+            ic_filtration(G, m_max)
         assert not T._cache and not G._cache
 
 
