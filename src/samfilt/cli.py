@@ -18,6 +18,7 @@ from .equivalence import (
     OmegaOracle,
     projectively_equivalent,
     recover_valuations,
+    valuation_pairs,
 )
 from .errors import (
     HorizonExceededError,
@@ -30,7 +31,6 @@ from .errors import (
 from .exactnum import PlusInfinity, format_scalar
 from .filtration import (
     AtLeast,
-    DiscreteValued,
     Filtration,
     _parse_positive_scalar,
     bracket_twist,
@@ -178,11 +178,11 @@ def _cmd_equiv(args):
     res = projectively_equivalent(F, G)
     if res.equivalent:
         lines = ["equivalent, alpha = %s" % format_scalar(res.alpha)]
+    elif res.counterexample is None:
+        lines = ["not equivalent, no counterexample monomial found up to degree 64"]
     else:
-        lines = [
-            "not equivalent, counterexample monomial = %s"
-            % monomial_str(res.counterexample)
-        ]
+        lines = ["not equivalent, counterexample monomial = %s"
+                 % monomial_str(res.counterexample)]
     doc = {
         "command": "equiv",
         "equivalent": res.equivalent,
@@ -194,9 +194,7 @@ def _cmd_equiv(args):
 
 def _cmd_recover(args):
     F = _load_filtration(args.filtration)
-    if not isinstance(F, DiscreteValued):
-        raise PreconditionError("recover expects a discrete valued filtration")
-    oracle = OmegaOracle.from_pairs(F.pairs)
+    oracle = OmegaOracle.from_pairs(valuation_pairs(F))
     rep = recover_valuations(oracle, args.degree_bound)
     lines = [
         "w=%s a=%s" % (",".join(map(str, v.w)), format_scalar(a)) for v, a in rep

@@ -1,15 +1,17 @@
 """Canonical representations of min-of-linear order data.
 
-A discrete valued filtration is cut out by pairs (v_i, a_i); its
-asymptotic order on monomials is omega(e) = min_i w_i.e/a_i.  The pairs
-achieving the min somewhere on the open orthant are uniquely determined
+The polyhedron P of an exact engine has rows (v_i, a_i), here pairs of a
+valuation and a scale (valuation_pairs), and its asymptotic order on
+monomials is omega(e) = min_i w_i.e/a_i.  The pairs achieving the min
+somewhere on the open orthant, the facets of P, are uniquely determined
 by omega (after making each weight vector primitive), which gives:
 
 * make_irredundant: drop pairs that never strictly achieve the min,
   canonicalize, sort — a normal form for the filtration.
 * projectively_equivalent: decide whether nubar_F = alpha * nubar_G by
   comparing normal forms; the witness ratio alpha = a_G,i / a_F,i must
-  be common to all i.
+  be common to all i.  Adic filtrations are equivalent exactly when
+  their Newton polyhedra are homothetic.
 * recover_valuations: reconstruct the normal form from a black-box
   omega oracle by directional localization, with a mandatory a
   posteriori validation pass.
@@ -17,14 +19,12 @@ by omega (after making each weight vector primitive), which gives:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from ._linprog import strict_cone_margin
-from .errors import PreconditionError, RecoveryError
-from .exactnum import INF, ExactReal, PlusInfinity, as_exact
-from .filtration import DiscreteValued
-from .monomial import Exponent
+from .errors import NotPrimaryError, PreconditionError, RecoveryError
+from .exactnum import ExactReal, PlusInfinity, as_exact, format_scalar
+from .filtration import DiscreteValued, Filtration
 from .valuation import MonomialValuation, primitive_pair
 
 
@@ -58,20 +58,25 @@ class IrredundantRep:
         return DiscreteValued(list(self.pairs))
 
     def to_json(self):
-        from .exactnum import format_scalar
-
         return [{"w": list(v.w), "a": format_scalar(a)} for v, a in self.pairs]
 
     def __repr__(self):
         return "IrredundantRep(%r)" % (list(self.pairs),)
 
     def __str__(self):
-        from .exactnum import format_scalar
-
         return "; ".join(
             "w=%s a=%s" % (",".join(map(str, v.w)), format_scalar(a))
             for v, a in self.pairs
         )
+
+
+def valuation_pairs(F: Filtration) -> list:
+    """F's polyhedron rows (l, c) as pairs (MonomialValuation(l), c);
+    NotPrimaryError when some l has a zero entry."""
+    rows = F._exact_rows("valuation pairs")
+    if not all(all(l) for l, _ in rows):
+        raise NotPrimaryError("not primary: a normal of the polyhedron has a zero entry")
+    return [(MonomialValuation(l), c) for l, c in rows]
 
 
 def _normalize_pairs(pairs):
@@ -90,10 +95,7 @@ def _normalize_pairs(pairs):
         if v.n != n:
             raise PreconditionError("valuations of mixed dimension")
     # exact duplicates define the same halfspace family
-    seen = {}
-    for v, a in norm:
-        seen[(v.w, a)] = (v, a)
-    return n, list(seen.values())
+    return n, list({(v.w, a): (v, a) for v, a in norm}.values())
 
 
 def _essential(i, pairs, n):
@@ -139,7 +141,8 @@ class EquivalenceResult:
 
     alpha is the exact ratio with nubar_F = alpha * nubar_G when the
     filtrations are equivalent, else None; counterexample then holds a
-    monomial exponent on which no single ratio can work.
+    monomial exponent on which no single ratio can work, or None when no
+    monomial of degree <= 64 is one.
     """
 
     __slots__ = ("alpha", "counterexample", "left", "right")
@@ -163,8 +166,9 @@ class EquivalenceResult:
         return "EquivalenceResult(counterexample=%r)" % (self.counterexample,)
 
 
-def _counterexample_monomial(repF, repG, n) -> Exponent:
-    """A monomial where the two order functions are not proportional."""
+def _counterexample_monomial(repF, repG, n):
+    """A monomial of degree <= 64 where the two order functions are not
+    proportional, or None when they differ only on a thinner cone."""
     base = tuple([1] * n)
     wF0, wG0 = repF.omega(base), repG.omega(base)
     ratio = wF0 / wG0
@@ -172,7 +176,7 @@ def _counterexample_monomial(repF, repG, n) -> Exponent:
         for e in _sphere(n, radius):
             if repF.omega(e) != ratio * repG.omega(e):
                 return e
-    return None  # pragma: no cover - distinct reps differ on small monomials
+    return None
 
 
 def _sphere(n, radius):
@@ -184,19 +188,18 @@ def _sphere(n, radius):
             yield (first,) + rest
 
 
-def projectively_equivalent(F: DiscreteValued, G: DiscreteValued) -> EquivalenceResult:
-    """Decide nubar_F = alpha * nubar_G for some alpha > 0.
+def projectively_equivalent(F: Filtration, G: Filtration) -> EquivalenceResult:
+    """Decide nubar_F = alpha * nubar_G for some alpha > 0, for any two
+    exact engines.
 
     Works on the normal forms: equivalent iff the primitive valuations
     coincide and the scale ratios a_G,i / a_F,i are all equal; that
     common ratio is alpha.
     """
-    if not isinstance(F, DiscreteValued) or not isinstance(G, DiscreteValued):
-        raise PreconditionError("projective equivalence needs discrete valued input")
     if F.n != G.n:
         raise PreconditionError("dimension mismatch")
-    repF = make_irredundant(F.pairs)
-    repG = make_irredundant(G.pairs)
+    repF = make_irredundant(valuation_pairs(F))
+    repG = make_irredundant(valuation_pairs(G))
     ok = len(repF.pairs) == len(repG.pairs) and all(
         vf == vg for (vf, _), (vg, _) in zip(repF.pairs, repG.pairs)
     )

@@ -17,18 +17,17 @@ every level).  Level results are cached per filtration; with the GIL a
 plain dict is safe for concurrent readers, at worst a level is computed
 twice.
 
-Each engine answers four questions by method: asymptotic_order (nubar
-on a nonzero f), saturated_level (K_t = {nubar >= t} for t > 0, or
-{nubar > t} when strict), value_limit (lim v(I_n)/n) and multiplicity
-(lim d! colength(I_n) / n^d).  Adic and DiscreteValued share one
-implementation of the last three: for both, the closure of level k is
-k*P for one polyhedron P (the Newton polyhedron of I; {x >= 0 : w_i . x
->= a_i}), so each engine supplies P's inequalities and a point set
-holding its vertices, and every answer is exact in any dimension.  Twist
-answers through its base, scaling by alpha there.  The Filtration
-defaults are the "bounds only" answers of a Table: the nubar estimator,
-no value limit, and PreconditionError for the levels and the
-multiplicity.
+Every exact engine has one polyhedron P in the orthant, P + orthant =
+P, with nubar(x^e) the largest t such that e is in t*P: NP(I) for
+Adic(I), {x >= 0 : w_i . x >= a_i} for DiscreteValued, [alpha, inf) for
+a stair and alpha*P of the base for a twist.  An engine supplies P by
+_rows, the rows (l, c), c > 0, with P = {x >= 0 : l . x >= c}, and
+_points, a point set of P holding every vertex.  Filtration answers
+from P, exactly and in any dimension: asymptotic_order (the least
+l.e/c), saturated_level ({nubar >= t}, or {nubar > t} when strict),
+value_limit (lim v(I_n)/n, the least v over P) and multiplicity (d!
+covol(P)).  Table, and twists over one, have no P: None from both
+means bounds only (the nubar estimator, PreconditionError otherwise).
 
 closure_level(m), the graded integral closure J_m = {e : r*e in
 closure(I_{r*m}) for some r >= 1}, is exact over every r and lives once,
@@ -44,6 +43,8 @@ it is in by _bound_reached.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
@@ -140,8 +141,8 @@ _BOUNDS_ONLY = "%s need an exact engine (table filtrations only determine bounds
 
 
 class Filtration:
-    """Base class; subclasses implement _level and order, and override the
-    question methods that have closed forms for them."""
+    """Base class; subclasses implement _level and order, and exact engines
+    supply their polyhedron P by _rows and _points."""
 
     n: int
 
@@ -163,30 +164,63 @@ class Filtration:
     def order(self, f: SupportPoly) -> OrderValue:
         raise NotImplementedError
 
+    def _rows(self):
+        """P's rows (l, c), c > 0, with P = {x >= 0 : l.x >= c}; None if no P."""
+        return None
+
+    def _points(self):
+        """A point set of P holding every vertex; None when there is no P."""
+        return None
+
+    def _exact_rows(self, what: str) -> list:
+        rows = self._rows()
+        if rows is None:
+            raise PreconditionError(_BOUNDS_ONLY % what)
+        return rows
+
     def asymptotic_order(self, f: SupportPoly, n_max: int) -> NubarResult:
-        """nubar on a nonzero f: the estimator's lower bound by default."""
-        return nubar_estimate(self, f, n_max)
+        """nubar on a nonzero f: the least l.e/c, or the estimator's bound."""
+        rows = self._rows()
+        if rows is None:
+            return nubar_estimate(self, f, n_max)
+        exps = self._check_elem(f).exps
+        least = (as_exact(min(sum(map(operator.mul, l, e)) for e in exps)) / c
+                 for l, c in rows)
+        return NubarResult(min(least, default=INF), "exact")
 
     def saturated_level(self, t, strict: bool = False) -> MonomialIdeal:
         """{e : nubar(x^e) >= t} for t > 0, or {nubar(x^e) > t} if strict."""
-        raise PreconditionError(_BOUNDS_ONLY % "saturated levels")
+        rows = self._exact_rows("saturated levels")
+        return system_level(self.n, [(l, c * t, strict) for l, c in rows])
 
     def _bound_reached(self) -> bool:
-        """Whether some witness r has rho(r) = 1 (see the module docstring),
-        so that the graded integral closure is K_m and not {nubar > m}."""
-        raise PreconditionError(_BOUNDS_ONLY % "integral closure levels")
+        """Whether some witness r has rho(r) = 1; with a P, r = 1 does."""
+        self._exact_rows("integral closure levels")
+        return True
 
     def closure_level(self, m: int) -> MonomialIdeal:
         """Graded integral closure at level m >= 1, exact over every r."""
         return self.saturated_level(m, strict=not self._bound_reached())
 
     def value_limit(self, v: MonomialValuation):
-        """Closed form of lim v(I_n)/n, or None."""
-        return None
+        """lim v(I_n)/n = min v.x over P: at a vertex, since v >= 0 and
+        P + orthant = P; INF when P is empty, None when there is no P."""
+        points = self._points()
+        if points is None:
+            return None
+        values = [v.value_exponent(p) for p in points]
+        return as_exact(min(values)) if values else INF
 
     def multiplicity(self) -> ExactReal:
-        """e = lim d! colength(I_n) / n^d, exactly."""
-        raise PreconditionError(_BOUNDS_ONLY % "exact multiplicities")
+        """e = lim d! colength(I_n) / n^d = d! covol(P), from one exact
+        triangulation; infinite when P has no vertex on some axis."""
+        rows = self._exact_rows("exact multiplicities")
+        points = self._points()
+        for j in range(self.n):
+            if all(any(x != 0 for k, x in enumerate(p) if k != j) for p in points):
+                raise NotPrimaryError("infinite multiplicity: no pure power of x_%d"
+                                      % (j + 1))
+        return normalized_covolume(points, rows)
 
     def _check_elem(self, f: SupportPoly) -> SupportPoly:
         if not isinstance(f, SupportPoly):
@@ -199,38 +233,7 @@ class Filtration:
         raise NotImplementedError
 
 
-class _Polyhedral(Filtration):
-    """An engine whose closure of level k is k*P for one polyhedron P in
-    the orthant with P + orthant = P, so that nubar(x^e) = the largest t
-    with e in t*P.  Subclasses supply P: _rows, the inequalities (l, c)
-    with c > 0 that cut it out of the orthant, and _points, a point set
-    of P that holds every vertex."""
-
-    def _rows(self) -> list:
-        raise NotImplementedError
-
-    def _points(self) -> list:
-        raise NotImplementedError
-
-    def saturated_level(self, t, strict: bool = False) -> MonomialIdeal:
-        return system_level(self.n, [(l, c * t, strict) for l, c in self._rows()])
-
-    def _bound_reached(self) -> bool:
-        # closure(level m) = m*P is K_m already at r = 1, with no power built
-        return True
-
-    def value_limit(self, v: MonomialValuation):
-        """min v.x over P: at a vertex, since v >= 0 and P + orthant = P;
-        INF when P is empty."""
-        values = [sum(map(operator.mul, v.w, p)) for p in self._points()]
-        return as_exact(min(values)) if values else INF
-
-    def multiplicity(self) -> ExactReal:
-        """d! covol(P), from one exact triangulation."""
-        return normalized_covolume(self._points(), self._rows())
-
-
-class Adic(_Polyhedral):
+class Adic(Filtration):
     """Powers of a fixed monomial ideal; P is its Newton polyhedron."""
 
     def __init__(self, ideal: MonomialIdeal):
@@ -288,10 +291,8 @@ class Adic(_Polyhedral):
         return min(self._order_exponent(e) for e in f.min_support())
 
     def asymptotic_order(self, f: SupportPoly, n_max: int) -> NubarResult:
-        if self.ideal.is_unit:
-            return NubarResult(INF, "exact")
-        if self.ideal.is_zero:
-            return NubarResult(0, "exact")
+        if not self.ideal.is_proper_nonzero:
+            return super().asymptotic_order(f, n_max)
         return NubarResult(min(np_value(self.ideal, e) for e in f.min_support()), "exact")
 
     def _rows(self) -> list:
@@ -304,15 +305,6 @@ class Adic(_Polyhedral):
     def _points(self) -> tuple:
         return self.ideal.gens
 
-    def multiplicity(self) -> ExactReal:
-        """d! covol(NP(I)) (Teissier 1988): 0 for the unit ideal."""
-        if not self.ideal.is_primary():
-            raise NotPrimaryError(
-                "infinite multiplicity: no pure power of some variable in %s"
-                % self.ideal
-            )
-        return super().multiplicity()
-
     def to_json(self) -> dict:
         return {"type": "adic", "ideal": self.ideal.to_json()}
 
@@ -320,7 +312,7 @@ class Adic(_Polyhedral):
         return "Adic(%r)" % (self.ideal,)
 
 
-class DiscreteValued(_Polyhedral):
+class DiscreteValued(Filtration):
     """Intersections of valuation ideals with per-valuation scales a_i.
 
     Level m >= 1 is the saturated level at m of P = {x >= 0 : w_i . x >=
@@ -347,9 +339,7 @@ class DiscreteValued(_Polyhedral):
         self.n = n
 
     def _level(self, m: int) -> MonomialIdeal:
-        if m == 0:
-            return MonomialIdeal.unit(self.n)
-        return self.saturated_level(m)
+        return self.saturated_level(m)  # every threshold is 0 at m = 0
 
     def order(self, f: SupportPoly) -> OrderValue:
         """max(floor(nubar(f)), 0) — the closed form for these levels."""
@@ -357,10 +347,6 @@ class DiscreteValued(_Polyhedral):
         if f.is_zero:
             return INF
         return max(self.asymptotic_order(f, None).value.floor(), 0)
-
-    def asymptotic_order(self, f: SupportPoly, n_max: int) -> NubarResult:
-        """min_i v_i(f) / a_i."""
-        return NubarResult(min(as_exact(v.value(f)) / a for v, a in self.pairs), "exact")
 
     def _rows(self) -> list:
         return [(v.w, a) for v, a in self.pairs]
@@ -384,7 +370,8 @@ class DiscreteValued(_Polyhedral):
 
 
 class Twist(Filtration):
-    """Level reindexing I_m -> I_ceil(alpha*m); never flattened."""
+    """Level reindexing I_m -> I_ceil(alpha*m); never flattened.  Methods
+    walk a chain of twists in a loop, so its depth costs no stack."""
 
     def __init__(self, base: Filtration, alpha):
         super().__init__()
@@ -395,45 +382,57 @@ class Twist(Filtration):
         self.alpha = alpha
         self.n = base.n
 
+    def _chain(self) -> tuple[list, Filtration]:
+        """The factors from this twist inward, and the engine under them."""
+        alphas, F = [], self
+        while isinstance(F, Twist):
+            alphas.append(F.alpha)
+            F = F.base
+        return alphas, F
+
     def _level(self, m: int) -> MonomialIdeal:
-        return self.base.level(ceil_mul(self.alpha, m))
+        alphas, root = self._chain()
+        for alpha in alphas:
+            m = ceil_mul(alpha, m)
+        return root.level(m)
 
     def order(self, f: SupportPoly) -> OrderValue:
-        base = self.base.order(f)
-        if isinstance(base, PlusInfinity):
+        alphas, root = self._chain()
+        value = root.order(f)
+        if isinstance(value, PlusInfinity):
             return INF
-        if isinstance(base, AtLeast):
-            return AtLeast((as_exact(base.bound) / self.alpha).floor())
-        return (as_exact(base) / self.alpha).floor()
+        bound = value.bound if isinstance(value, AtLeast) else value
+        for alpha in reversed(alphas):
+            bound = (as_exact(bound) / alpha).floor()
+        return AtLeast(bound) if isinstance(value, AtLeast) else bound
 
     def asymptotic_order(self, f: SupportPoly, n_max: int) -> NubarResult:
-        # the base's answer divided by alpha, bounds included: estimating on
-        # the twisted levels directly would give weaker bounds
-        inner = self.base.asymptotic_order(f, n_max)
+        # the root's answer over each alpha: the twisted levels give weaker bounds
+        alphas, root = self._chain()
+        inner = root.asymptotic_order(f, n_max)
         value = inner.value
-        if not isinstance(value, PlusInfinity):
-            value = value / self.alpha
+        for alpha in reversed(alphas):
+            value = value / alpha  # INF stays INF
         return NubarResult(value, inner.kind, inner.witness_n, inner.truncated)
 
-    def saturated_level(self, t, strict: bool = False) -> MonomialIdeal:
-        return self.base.saturated_level(self.alpha * t, strict)
+    def _rows(self):
+        alphas, root = self._chain()
+        rows = root._rows()
+        return None if rows is None else [
+            (l, math.prod(alphas) * c) for l, c in rows]
+
+    def _points(self):
+        alphas, root = self._chain()
+        pts = root._points()
+        return None if pts is None else [
+            [math.prod(alphas) * x for x in p] for p in pts]
 
     def _bound_reached(self) -> bool:
-        # rho(r) = 1 needs alpha*k integral at the index k this twist reads
-        # for witness r, which some multiple of r gives iff alpha is
-        # rational; the base is asked first, so a table base refuses
-        return self.base._bound_reached() and self.alpha.is_rational
-
-    def value_limit(self, v: MonomialValuation):
-        inner = self.base.value_limit(v)
-        return None if inner is None else self.alpha * inner
-
-    def multiplicity(self) -> ExactReal:
-        # level m is the base's level ceil(alpha m): colengths scale by alpha^d
-        e = self.base.multiplicity()
-        for _ in range(self.n):
-            e = e * self.alpha
-        return e
+        # rho(r) = 1 needs alpha*k integral at the index k each twist reads
+        # for witness r, which some multiple of r gives iff every alpha is
+        # rational; the root is asked first, so a table root refuses
+        alphas, root = self._chain()
+        return root._bound_reached() and all(a.is_rational for a in alphas)
 
     def to_json(self) -> dict:
         return {
@@ -474,23 +473,16 @@ class StairOneVar(Filtration):
             return 0
         return (as_exact(c0 - self.c) / self.alpha).floor()
 
-    def asymptotic_order(self, f: SupportPoly, n_max: int) -> NubarResult:
-        return NubarResult(as_exact(f.order_1var()) / self.alpha, "exact")
+    def _rows(self) -> list:
+        return [((1,), self.alpha)]
 
-    def saturated_level(self, t, strict: bool = False) -> MonomialIdeal:
-        t = self.alpha * t
-        return MonomialIdeal(1, [(t.floor() + 1 if strict else t.ceil(),)])
+    def _points(self) -> list:
+        return [(self.alpha,)]
 
     def _bound_reached(self) -> bool:
         # r*q >= ceil(alpha*k) + c holds on the slope q = alpha*k/r only
         # when c = 0; strictly above it some large r always works
         return self.c == 0
-
-    def value_limit(self, v: MonomialValuation):
-        return as_exact(v.w[0]) * self.alpha
-
-    def multiplicity(self) -> ExactReal:
-        return self.alpha
 
     def to_json(self) -> dict:
         return {"type": "stair1", "alpha": format_scalar(self.alpha), "c": self.c}
@@ -642,43 +634,48 @@ def _parse_positive_scalar(text, what: str) -> ExactReal:
 
 
 def filtration_from_json(data: dict) -> Filtration:
-    """Build a filtration from its JSON description."""
+    """Build a filtration from its JSON description.  A chain of twists is
+    read in a loop, so its depth costs no stack."""
+    alphas = []
+    try:
+        while isinstance(data, dict) and data.get("type") == "twist":
+            alphas.append(_parse_positive_scalar(data["alpha"], "'alpha'"))
+            data = data["base"]
+        # wrap the root in the twists, innermost first
+        return functools.reduce(Twist, reversed(alphas), _root_from_json(data))
+    except KeyError as exc:
+        raise ParseError("filtration JSON missing field %s" % exc) from exc
+    except (PreconditionError, TypeError, ValueError) as exc:
+        raise ParseError("filtration JSON: %s" % exc) from exc
+
+
+def _root_from_json(data) -> Filtration:
     if not isinstance(data, dict) or "type" not in data:
         raise ParseError("filtration JSON needs a 'type' field")
     kind = data["type"]
-    try:
-        if kind == "adic":
-            return Adic(MonomialIdeal.from_json(data["ideal"]))
-        if kind == "dv":
-            pairs = []
-            for item in data["pairs"]:
-                v = MonomialValuation.from_json(item)
-                a = _parse_positive_scalar(item["a"], "scale 'a'")
-                pairs.append((v, a))
-            return DiscreteValued(pairs)
-        if kind == "twist":
-            alpha = _parse_positive_scalar(data["alpha"], "'alpha'")
-            return Twist(filtration_from_json(data["base"]), alpha)
-        if kind == "stair1":
-            alpha = _parse_positive_scalar(data["alpha"], "'alpha'")
-            c = data["c"]
-            if not isinstance(c, int) or c < 0:
-                raise ParseError("'c' must be a nonnegative integer")
-            return StairOneVar(alpha, c)
-        if kind == "table":
-            horizon = data["horizon"]
-            if not isinstance(horizon, int) or isinstance(horizon, bool):
-                raise ParseError("'horizon' must be an integer")
-            levels = []
-            for m, ideal in data["levels"]:
-                if not isinstance(m, int) or isinstance(m, bool):
-                    raise ParseError("level index %r is not an integer" % (m,))
-                levels.append((m, MonomialIdeal.from_json(ideal)))
-            return Table(levels, horizon, validate=True)
-    except KeyError as exc:
-        raise ParseError("filtration JSON missing field %s" % exc) from exc
-    except (PreconditionError, ConstructionError) as exc:
-        raise ParseError("filtration JSON: %s" % exc) from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError("filtration JSON: %s" % exc) from exc
+    if kind == "adic":
+        return Adic(MonomialIdeal.from_json(data["ideal"]))
+    if kind == "dv":
+        pairs = []
+        for item in data["pairs"]:
+            v = MonomialValuation.from_json(item)
+            a = _parse_positive_scalar(item["a"], "scale 'a'")
+            pairs.append((v, a))
+        return DiscreteValued(pairs)
+    if kind == "stair1":
+        alpha = _parse_positive_scalar(data["alpha"], "'alpha'")
+        c = data["c"]
+        if not isinstance(c, int) or c < 0:
+            raise ParseError("'c' must be a nonnegative integer")
+        return StairOneVar(alpha, c)
+    if kind == "table":
+        horizon = data["horizon"]
+        if not isinstance(horizon, int) or isinstance(horizon, bool):
+            raise ParseError("'horizon' must be an integer")
+        levels = []
+        for m, ideal in data["levels"]:
+            if not isinstance(m, int) or isinstance(m, bool):
+                raise ParseError("level index %r is not an integer" % (m,))
+            levels.append((m, MonomialIdeal.from_json(ideal)))
+        return Table(levels, horizon, validate=True)
     raise ParseError("unknown filtration type %r" % kind)

@@ -3,11 +3,10 @@
 For a filtration whose levels are primary to the maximal monomial ideal,
 e(F) = lim colength(I_n) * d! / n^d.  Every exact engine knows it in
 closed form, in any dimension (Filtration.multiplicity): d! times the
-covolume of the Newton polyhedron for adic filtrations, and of
-{x >= 0 : w_i.x >= a_i} for discrete valued ones, from one exact
-triangulation.  multiplicity_estimate gives the normalized lattice counts
-along the levels of any engine, tables included (an approximation with no
-error bound claimed).
+covolume of its polyhedron P, from one exact triangulation.
+multiplicity_estimate gives the normalized lattice counts along the
+levels of any engine, tables included (an approximation with no error
+bound claimed).
 
 filtration_value(v, F, n_max) is the limit of v(I_n)/n, an infimum; the
 running minimum over n <= n_max is always a valid upper bound, and a
@@ -59,8 +58,8 @@ def multiplicity_exact(F: Filtration) -> ExactReal:
     """e(F), exactly: the engine's closed form (see Filtration.multiplicity).
 
     Raises PreconditionError for engines with bounds only, NotPrimaryError
-    for a non-primary adic filtration and MixedRadicalError when the value
-    lies in no single quadratic field.
+    when the levels miss a pure power of some variable and
+    MixedRadicalError when the value lies in no single quadratic field.
     """
     return F.multiplicity()
 

@@ -1,22 +1,22 @@
 """Asymptotic order of a filtration and its two canonical companions.
 
 nubar(F, f) is the limit of order(F, f^k)/k (it exists by Fekete
-superadditivity).  Exact closed forms are available for the Adic,
-DiscreteValued and StairOneVar engines and for twist chains over them;
-Table filtrations only admit certified lower bounds.
+superadditivity).  Every exact engine (Adic, DiscreteValued, StairOneVar
+and twist chains over them) answers it from its polyhedron P, the
+largest t with e in t*P; Table filtrations only admit lower bounds.
 
 k_filtration(F, m_max) tabulates the saturated filtration K_m = {nubar >= m},
 the unique largest filtration with the same asymptotic order.
 
 ic_filtration(F, m_max) tabulates the graded integral closure
 J_m = {f : f^r in closure(I_{r m}) for some r >= 1}, exact over every r
-for the same engines.  J_m is K_m when some witness r reaches the bound
+for the exact engines.  J_m is K_m when some witness r reaches the bound
 nubar >= m, and the strict level {nubar > m} when none does (a stair with
 shift c > 0, or an irrational twist factor); only then can J_m sit
 strictly inside K_m.
 
-The closed forms themselves are engine methods (see the filtration
-module); the functions here validate their input and tabulate.
+The closed forms live once, in Filtration, on each engine's polyhedron
+(see the filtration module); the functions here validate and tabulate.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from .monomial import SupportPoly
 def nubar(F: Filtration, f: SupportPoly, n_max: int = 24) -> NubarResult:
     """Asymptotic order of f along F.
 
-    Exact for Adic, DiscreteValued, StairOneVar and twist chains over
-    them; for Table filtrations falls back to nubar_estimate(F, f, n_max).
-    On polynomials the value is the minimum over the support exponents.
+    Exact for every engine with a polyhedron; for Table filtrations and
+    twists over one falls back to nubar_estimate(F, f, n_max).  On
+    polynomials the value is the minimum over the support exponents.
     """
     f = F._check_elem(f)
     if f.is_zero:

@@ -14,6 +14,11 @@ every r, builds its levels and closures with the library's engines and
 integral_closure.
 dv_value_limit_lp is the LP the library solved for discrete valued value
 limits before it took the least value over the vertices of the polyhedron.
+The *_by_engine functions are the per-engine closed forms the library
+used before every exact engine answered from one polyhedron: Twist
+scaled its base's answer by alpha, StairOneVar had its own formulas, and
+DiscreteValued its own nubar.  Their Adic and DiscreteValued roots use
+the oracles above or the library's level code.
 """
 
 import itertools
@@ -21,7 +26,18 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, factorial, gcd
 
-from samfilt import MonomialIdeal, integral_closure
+from samfilt import (
+    Adic,
+    DiscreteValued,
+    MonomialIdeal,
+    NotPrimaryError,
+    StairOneVar,
+    Twist,
+    integral_closure,
+    newton_facets,
+    np_threshold_level,
+    system_level,
+)
 from samfilt.exactnum import as_exact
 
 from samfilt._linprog import OPTIMAL, lp_min, simplex_max
@@ -360,3 +376,76 @@ def dv_value_limit_lp(pairs, w):
     status, value, _ = lp_min(c, A, b, zero=zero, one=one)
     assert status == OPTIMAL, status
     return value
+
+
+# -- per-engine closed forms, before the one-polyhedron contract ---------
+
+
+def saturated_level_by_engine(F, t, strict=False):
+    """{nubar >= t} (or > t): a twist asks its base at alpha*t."""
+    if isinstance(F, Twist):
+        return saturated_level_by_engine(F.base, F.alpha * t, strict)
+    if isinstance(F, StairOneVar):
+        t = F.alpha * t
+        return MonomialIdeal(1, [(t.floor() + 1 if strict else t.ceil(),)])
+    if isinstance(F, DiscreteValued):
+        return system_level(F.n, [(v.w, a * t, strict) for v, a in F.pairs])
+    return np_threshold_level(F.ideal, t, strict)
+
+
+def value_limit_by_engine(F, w):
+    """lim v(I_n)/n for the weight vector w: alpha times the base's value
+    for a twist, w_1*alpha for a stair, an LP for discrete valued."""
+    if isinstance(F, Twist):
+        return F.alpha * value_limit_by_engine(F.base, w)
+    if isinstance(F, StairOneVar):
+        return as_exact(w[0]) * F.alpha
+    if isinstance(F, DiscreteValued):
+        return dv_value_limit_lp([(v.w, a) for v, a in F.pairs], w)
+    return as_exact(min(_dot(w, g) for g in F.ideal.gens))
+
+
+def multiplicity_by_engine(F):
+    """e(F): alpha^d times the base's for a twist, alpha for a stair, and
+    for d <= 3 the inclusion-exclusion over P's rows at a root."""
+    if isinstance(F, Twist):
+        e = multiplicity_by_engine(F.base)
+        for _ in range(F.n):
+            e = e * F.alpha
+        return e
+    if isinstance(F, StairOneVar):
+        return F.alpha
+    if isinstance(F, Adic):
+        if not F.ideal.is_primary():
+            raise NotPrimaryError("no pure power of some variable")
+        pairs = [(f[:-1], f[-1]) for f in newton_facets(F.ideal)]
+    else:
+        pairs = [(v.w, a) for v, a in F.pairs]
+    if F.n == 1:
+        return max(as_exact(a) / w[0] for w, a in pairs)
+    if F.n <= 3:
+        return dv_multiplicity_ie(pairs)
+    return F.multiplicity()  # no independent formula in 4-D
+
+
+def nubar_by_engine(F, f):
+    """nubar on a nonzero f: the base's value over alpha for a twist,
+    ord(f)/alpha for a stair, min v_i(f)/a_i for discrete valued and the
+    Newton polyhedron LP for adic."""
+    if isinstance(F, Twist):
+        return nubar_by_engine(F.base, f) / F.alpha
+    if isinstance(F, StairOneVar):
+        return as_exact(f.order_1var()) / F.alpha
+    if isinstance(F, DiscreteValued):
+        return min(as_exact(v.value(f)) / a for v, a in F.pairs)
+    return as_exact(min(np_value_lp(F.ideal.gens, e) for e in f.exps))
+
+
+def nubar_ratios_on_grid(nubar_f, nubar_g, n, bound):
+    """The set of nubar_f(e) / nubar_g(e) over the nonzero exponents e in
+    the box [0, bound]^n, both order functions given as callables."""
+    ratios = set()
+    for e in itertools.product(range(bound + 1), repeat=n):
+        if any(e):
+            ratios.add(as_exact(nubar_f(e)) / as_exact(nubar_g(e)))
+    return ratios

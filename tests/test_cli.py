@@ -262,11 +262,48 @@ class TestEquiv:
             "counterexample": [0, 1],
         }
 
-    def test_non_dv_rejected(self, run, files):
-        rc, out, err = run(
-            "equiv", "--left", files["adic"], "--right", files["dv"]
-        )
-        assert rc == 3 and "precondition error" in err
+    def test_table_rooted_exit_3(self, run, files, tmp_path):
+        tw = tmp_path / "tw_table.json"
+        tw.write_text(json.dumps({"type": "twist", "alpha": "2", "base": TABLE2}))
+        for left in (files["table2"], str(tw)):
+            rc, out, err = run("equiv", "--left", left, "--right", files["dv"])
+            assert rc == 3 and out == "" and "precondition error" in err
+            assert "exact engine" in err and "Traceback" not in err
+
+    def test_non_primary_adic_exit_3(self, run, files, tmp_path):
+        path = tmp_path / "xy.json"
+        path.write_text(json.dumps({"type": "adic", "ideal": {"n": 2, "gens": [[2, 0], [1, 1]]}}))
+        for left, right in ((str(path), files["dv"]), (files["adic"], str(path))):
+            rc, out, err = run("equiv", "--left", left, "--right", right)
+            assert rc == 3 and out == "" and "not primary" in err
+
+    def test_adic_against_dv_answers(self, run, files, tmp_path):
+        # NP((x^2, y^3)) has the one facet 3x + 2y >= 6
+        facet = tmp_path / "facet.json"
+        facet.write_text(json.dumps({"type": "dv", "pairs": [{"w": [3, 2], "a": "6/1"}]}))
+        rc, out, _ = run("equiv", "--left", files["adic"], "--right", str(facet))
+        assert rc == 0 and out == "equivalent, alpha = 1/1\n"
+        doc = run_json(run, "equiv", "--left", files["adic"], "--right", files["dv"])
+        assert doc["equivalent"] is False and doc["counterexample"] is not None
+
+    def test_no_counterexample_of_small_degree(self, run, tmp_path):
+        # the normal forms differ only on a cone too thin to hold a monomial
+        # of degree <= 64
+        pairs = [{"w": [102, 1], "a": "1/1"}, {"w": [1, 101], "a": "1/1"},
+                 {"w": [103, 102], "a": "100001/50000"}]
+        left, right = tmp_path / "thin_f.json", tmp_path / "thin_g.json"
+        left.write_text(json.dumps({"type": "dv", "pairs": pairs}))
+        right.write_text(json.dumps({"type": "dv", "pairs": pairs[:2]}))
+        rc, out, err = run("equiv", "--left", str(left), "--right", str(right))
+        assert rc == 0 and err == ""
+        assert out == "not equivalent, no counterexample monomial found up to degree 64\n"
+        doc = run_json(run, "equiv", "--left", str(left), "--right", str(right))
+        assert doc == {
+            "command": "equiv",
+            "equivalent": False,
+            "alpha": None,
+            "counterexample": None,
+        }
 
 
 class TestRecover:
@@ -280,6 +317,18 @@ class TestRecover:
             "command": "recover",
             "pairs": [{"w": [1, 2], "a": "1/1"}, {"w": [2, 1], "a": "1/1"}],
         }
+
+    def test_adic_returns_its_facets(self, run, files, tmp_path):
+        rc, out, _ = run("recover", "-f", files["adic"], "--degree-bound", "6")
+        assert rc == 0 and out == "w=3,2 a=6/1\n"
+        path = tmp_path / "adic3.json"
+        path.write_text(json.dumps({"type": "adic", "ideal": {"n": 2, "gens": [[4, 0], [1, 1], [0, 3]]}}))
+        doc = run_json(run, "recover", "-f", str(path), "--degree-bound", "8")
+        assert doc["pairs"] == [{"w": [1, 3], "a": "4/1"}, {"w": [2, 1], "a": "3/1"}]
+
+    def test_table_exit_3(self, run, files):
+        rc, out, err = run("recover", "-f", files["table2"], "--degree-bound", "4")
+        assert rc == 3 and out == "" and "exact engine" in err
 
 
 class TestMult:
@@ -555,6 +604,23 @@ class TestErrorHandling:
         assert len(err.splitlines()) <= 1
         if rc == 4:
             assert out == ""
+
+    def test_deep_twist_chain_answers_like_its_root(self, run, files, tmp_path):
+        # 900 nested twists by 1 over (x^2, y^3): every walk over the chain
+        # is a loop, so each command answers as the un-nested file does
+        head = '{"type": "twist", "alpha": "1/1", "base": '
+        deep = tmp_path / "deep900.json"
+        deep.write_text(head * 900 + json.dumps(ADIC) + "}" * 900)
+        for argv in (
+            ("k", "--m-max", "2"),
+            ("ic", "--m-max", "2"),
+            ("nubar", "--monomial", "3,4"),
+            ("sat", "--test-vals", "1,1;1,2", "--n-max", "3"),
+            ("val", "--valuation", "2,1", "--n-max", "3"),
+            ("mult", "--n-max", "1"),
+        ):
+            got = run(argv[0], "-f", str(deep), *argv[1:])
+            assert got[0] == 0 and got == run(argv[0], "-f", files["adic"], *argv[1:]), argv
 
     def test_seed_flag_accepted(self, run, files):
         rc, out, _ = run(

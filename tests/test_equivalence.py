@@ -5,21 +5,36 @@ from fractions import Fraction
 import pytest
 
 from samfilt import (
+    Adic,
     DiscreteValued,
     IrredundantRep,
+    MonomialIdeal,
+    NotPrimaryError,
     OmegaOracle,
     PreconditionError,
     RecoveryError,
+    StairOneVar,
+    SupportPoly,
+    Table,
     bracket_twist,
     make_irredundant,
+    newton_facets,
     projectively_equivalent,
     recover_valuations,
     sqrt,
+    twist,
 )
+from samfilt.equivalence import valuation_pairs
 from samfilt.exactnum import as_exact
 from samfilt.valuation import MonomialValuation
 
-from oracles import min_linear, strict_min_witness
+from oracles import (
+    min_linear,
+    np_value_lp,
+    nubar_by_engine,
+    nubar_ratios_on_grid,
+    strict_min_witness,
+)
 
 
 def P(w, a):
@@ -205,6 +220,91 @@ class TestProjectiveEquivalence:
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
             projectively_equivalent(DV(((1, 1), 1)), DV(((1, 1, 1), 1)))
+
+
+I2 = MonomialIdeal(2, [(4, 0), (1, 1), (0, 3)])
+I3 = MonomialIdeal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 5), (1, 1, 1)])
+THIN_F = [((102, 1), 1), ((1, 101), 1), ((103, 102), Fraction(100001, 50000))]
+
+
+def facets(I):
+    return [(f[:-1], f[-1]) for f in newton_facets(I)]
+
+
+def adic_nubar(I):
+    return lambda e: np_value_lp(I.gens, e)
+
+
+def engine_nubar(F):
+    """nubar by the per-engine formulas, on exponent tuples."""
+    return lambda e: nubar_by_engine(F, SupportPoly.monomial(e))
+
+
+class TestEveryExactEngine:
+    """Projective equivalence on any two exact engines, each answer checked
+    against the nubar ratios on a grid, computed by brute force."""
+
+    def test_adic_against_its_power(self):
+        for I, k, bound in ((I2, 2, 5), (I2, 3, 4), (I3, 2, 2)):
+            res = projectively_equivalent(Adic(I), Adic(I**k))
+            assert res.alpha == k
+            assert nubar_ratios_on_grid(adic_nubar(I), adic_nubar(I**k), I.n, bound) == {k}
+
+    def test_adic_against_the_dv_family_of_its_facets(self):
+        for I, bound in ((I2, 5), (I3, 3)):
+            pairs = facets(I)
+            res = projectively_equivalent(Adic(I), DV(*pairs))
+            assert res.alpha == 1
+            omega = lambda e: min_linear(pairs, e)  # noqa: E731
+            assert nubar_ratios_on_grid(adic_nubar(I), omega, I.n, bound) == {1}
+
+    def test_against_a_twist(self):
+        for F in (Adic(I2), DV(((1, 2), 1), ((3, 1), Fraction(3, 2))), Adic(I3)):
+            for beta in (Fraction(3, 2), sqrt(2)):
+                G = twist(F, beta)
+                assert projectively_equivalent(F, G).alpha == as_exact(beta)
+                ratios = nubar_ratios_on_grid(engine_nubar(F), engine_nubar(G), F.n, 3)
+                assert ratios == {as_exact(beta)}
+
+    def test_stair_against_its_dv_family(self):
+        for alpha in (Fraction(3, 2), sqrt(2)):
+            S, D = StairOneVar(alpha, 2), DV(((1,), alpha))
+            assert projectively_equivalent(S, D).alpha == 1
+            assert nubar_ratios_on_grid(engine_nubar(S), engine_nubar(D), 1, 8) == {1}
+
+    def test_non_homothetic_adics_have_a_counterexample(self):
+        F, G = Adic(I2), Adic(MonomialIdeal(2, [(2, 0), (0, 3)]))
+        res = projectively_equivalent(F, G)
+        assert not res.equivalent
+        e, one = res.counterexample, (1, 1)
+        nf, ng = adic_nubar(F.ideal), adic_nubar(G.ideal)
+        assert nf(e) * ng(one) != nf(one) * ng(e)
+
+    def test_recover_an_adic_filtration_returns_its_facets(self):
+        for I in (I2, MonomialIdeal(2, [(2, 0), (0, 3)])):
+            rep = recover_valuations(OmegaOracle.from_pairs(valuation_pairs(Adic(I))), 8)
+            assert rep_data(rep) == [(w, Fraction(c)) for w, c in facets(I)]
+
+    def test_non_primary_adic_rejected(self):
+        F = Adic(MonomialIdeal(2, [(2, 0), (1, 1)]))  # no power of y
+        with pytest.raises(NotPrimaryError, match="zero entry"):
+            projectively_equivalent(F, Adic(I2))
+        with pytest.raises(NotPrimaryError):
+            valuation_pairs(Adic(MonomialIdeal.zero(2)))
+
+    def test_table_rooted_rejected(self):
+        T = Table({1: MonomialIdeal(2, [(1, 0), (0, 1)])}, 1)
+        for F in (T, twist(T, 2)):
+            with pytest.raises(PreconditionError, match="exact engine"):
+                projectively_equivalent(F, DV(((1, 1), 1)))
+
+    def test_no_counterexample_of_small_degree(self):
+        # the normal forms differ only on a cone too thin to hold a
+        # monomial of degree <= 64
+        res = projectively_equivalent(DV(*THIN_F), DV(*THIN_F[:2]))
+        assert not res.equivalent
+        assert res.alpha is None and res.counterexample is None
+        assert len(res.left) == 3 and len(res.right) == 2
 
 
 class TestOmegaOracle:

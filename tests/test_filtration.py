@@ -276,12 +276,15 @@ class TestTwist:
         assert T.order(xy) == 2
 
     def test_order_matches_level_membership(self):
-        T = twist(DV(((1, 1), 1)), sqrt(2))
-        for e in itertools.product(range(5), repeat=2):
-            f = SupportPoly.monomial(e)
-            o = T.order(f)
-            assert T.level(o).contains(f)
-            assert not T.level(o + 1).contains(f)
+        # a chain rounds at every twist: level m of the second reads the
+        # root at ceil(2*ceil(m/2)), not at m
+        for T in (twist(DV(((1, 1), 1)), sqrt(2)),
+                  twist(twist(Adic(BOX), 2), Fraction(1, 2))):
+            for e in itertools.product(range(5), repeat=2):
+                f = SupportPoly.monomial(e)
+                o = T.order(f)
+                assert T.level(o).contains(f)
+                assert not T.level(o + 1).contains(f)
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(PreconditionError):
