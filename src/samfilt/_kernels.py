@@ -134,18 +134,17 @@ def staircase_gens_2d(
 ) -> list[tuple[int, int]]:
     """Minimal generators of {e : e1 >= xmin, e2 >= ymin, w1*e1 + w2*e2 >= c}.
 
-    Each row is (w1, w2, c) with w1, w2 >= 1.
+    Each row is (w1, w2, c) with w1, w2 >= 1.  The least x allowed at y
+    falls as y grows; the generators are the ys where it drops.  The scan
+    steps y by one, and once x has stayed flat for two steps it jumps to
+    the least y at which every row allows one less, so its cost follows
+    the output size, not the largest y.  (Jumping after one flat step
+    would cost a pass per step on staircases that drop every other y.)
     """
-    ylim = ymin
-    for w1, w2, c in rows:
-        rem = c - w1 * xmin
-        if rem > 0:
-            yl = (rem + w2 - 1) // w2
-            if yl > ylim:
-                ylim = yl
     out: list[tuple[int, int]] = []
     prev_x = None
-    for y in range(ymin, ylim + 1):
+    y = last = ymin
+    while True:
         x = xmin
         for w1, w2, c in rows:
             rem = c - w2 * y
@@ -153,9 +152,20 @@ def staircase_gens_2d(
                 need = (rem + w1 - 1) // w1
                 if need > x:
                     x = need
-        if prev_x is None or x < prev_x:
+        if x != prev_x:
             out.append((x, y))
+            if x == xmin:
+                return out
             prev_x = x
-        if x == xmin:
-            break
-    return out
+            last = y
+            y += 1
+        elif y - last < 2:
+            y += 1
+        else:
+            t = x - 1  # >= xmin, or the scan would have stopped
+            for w1, w2, c in rows:
+                rem = c - w1 * t
+                if rem > 0:
+                    yl = (rem + w2 - 1) // w2
+                    if yl > y:
+                        y = yl

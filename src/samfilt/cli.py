@@ -6,11 +6,15 @@ as machine-readable JSON under --json; see the schemas module).
 
 Exit codes: 0 ok, 2 parse error, 3 precondition violated, 4 an internal
 limit (table horizon / nesting depth) prevented any answer.
+
+``main(argv)`` may be called any number of times in one process: the
+argparse tree is built on the first call and reused by later ones.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -290,7 +294,10 @@ def _cmd_rees1(args):
     return _emit(args, lines, doc)
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built on the first main() call and reused after:
+    building it costs about 30 parses, and parse_args keeps no state in it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument(
@@ -386,8 +393,7 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

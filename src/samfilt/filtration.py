@@ -435,14 +435,16 @@ class Twist(Filtration):
         return root._bound_reached() and all(a.is_rational for a in alphas)
 
     def to_json(self) -> dict:
-        return {
-            "type": "twist",
-            "alpha": format_scalar(self.alpha),
-            "base": self.base.to_json(),
-        }
+        alphas, root = self._chain()
+        doc = root.to_json()
+        for alpha in reversed(alphas):
+            doc = {"type": "twist", "alpha": format_scalar(alpha), "base": doc}
+        return doc
 
     def __repr__(self):
-        return "Twist(%r, %s)" % (self.base, self.alpha)
+        alphas, root = self._chain()
+        return "Twist(" * len(alphas) + repr(root) + "".join(
+            ", %s)" % alpha for alpha in reversed(alphas))
 
 
 class StairOneVar(Filtration):

@@ -19,6 +19,8 @@ used before every exact engine answered from one polyhedron: Twist
 scaled its base's answer by alpha, StairOneVar had its own formulas, and
 DiscreteValued its own nubar.  Their Adic and DiscreteValued roots use
 the oracles above or the library's level code.
+staircase_by_each_y is the 2-D staircase scan the library ran before it
+jumped over the ys where the least allowed x stays flat.
 """
 
 import itertools
@@ -152,6 +154,25 @@ def brute_colength(gens):
         if not in_monomial_ideal(e, gens):
             count += 1
     return count
+
+
+def staircase_by_each_y(rows, xmin=0, ymin=0):
+    """Minimal generators of {e >= (xmin, ymin) : w1*e1 + w2*e2 >= c for
+    every row (w1, w2, c)}: the least allowed x at every y up to the
+    largest y any row needs, kept where it drops."""
+    ylim = ymin
+    for w1, w2, c in rows:
+        rem = c - w1 * xmin
+        if rem > 0:
+            ylim = max(ylim, -(-rem // w2))
+    out = []
+    for y in range(ymin, ylim + 1):
+        x = max([xmin] + [-(-(c - w2 * y) // w1) for w1, w2, c in rows])
+        if not out or x < out[-1][0]:
+            out.append((x, y))
+        if x == xmin:
+            break
+    return out
 
 
 def closure_members(gens, box, r_max=24):

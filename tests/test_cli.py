@@ -4,7 +4,7 @@ import jsonschema
 import pytest
 
 from samfilt import filtration_from_json
-from samfilt.cli import main
+from samfilt.cli import _build_parser, main
 from samfilt.schemas import SCHEMAS
 
 ADIC = {"type": "adic", "ideal": {"n": 2, "gens": [[2, 0], [0, 3]]}}
@@ -627,6 +627,49 @@ class TestErrorHandling:
             "nu", "-f", files["adic"], "--monomial", "3,3", "--seed", "7"
         )
         assert rc == 0 and out == "2\n"
+
+
+class TestParserReuse:
+    """main() reuses one parser per process; no call may see another's
+    arguments, defaults or output."""
+
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_estimator_flag_does_not_stick(self, run, files):
+        rc, out, _ = run("nubar", "-f", files["adic"], "--monomial", "5,0", "--n-max", "4")
+        assert rc == 0 and "(exact)" not in out
+        rc, out, _ = run("nubar", "-f", files["adic"], "--monomial", "5,0")
+        assert (rc, out) == (0, "5/2 (exact)\n")
+
+    def test_csv_flag_does_not_stick(self, run, files):
+        csv_path = files["dir"] / "series.csv"
+        rc, _, _ = run("mult", "-f", files["dv"], "--n-max", "5", "--csv", str(csv_path))
+        assert rc == 0 and csv_path.exists()
+        csv_path.unlink()
+        rc, out, _ = run("mult", "-f", files["dv"], "--n-max", "5")
+        assert rc == 0 and "series written" not in out
+        assert not csv_path.exists()
+
+    def test_usage_error_leaves_parser_clean(self, run, files, capsys):
+        _build_parser.cache_clear()  # so the first call below builds it
+        argv = ("nubar", "-f", files["adic"], "--monomial", "5,0")
+        first = run(*argv)
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--n-max", "four")
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert run(*argv) == first == (0, "5/2 (exact)\n", "")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("mult", "--help")])
+    def test_help_is_stable(self, capsys, argv):
+        outs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1] and outs[0].out.startswith("usage: samfilt")
 
 
 class TestSchemas:

@@ -29,6 +29,7 @@ from samfilt import (
     sqrt,
     twist,
 )
+from samfilt.exactnum import format_scalar
 from samfilt.valuation import MonomialValuation
 
 from oracles import adic_order, dv_level_members, dv_order, minimal_points
@@ -484,6 +485,28 @@ class TestFiltrationJson:
         doc = T.to_json()
         assert doc["type"] == "twist"
         assert doc["base"]["type"] == "twist"
+
+    def test_deep_twist_chain_to_json_and_repr(self):
+        # deeper than the recursion limit: both walk the chain in a loop
+        F = Adic(BOX)
+        alphas = [Fraction(1 + i % 3, 2) for i in range(3000)]
+        T = F
+        for a in alphas:
+            T = Twist(T, a)
+        doc = T.to_json()
+        for a in reversed(alphas):
+            assert doc.keys() == {"type", "alpha", "base"}
+            assert doc["type"] == "twist" and doc["alpha"] == format_scalar(a)
+            doc = doc["base"]
+        assert doc == F.to_json()
+        r = repr(T)
+        assert r.startswith("Twist(" * 3000 + repr(F) + ", 1/2), 1/1), 3/2), ")
+        assert r.endswith("), 3/2)") and r.count(")") == r.count("(")
+
+    def test_twist_repr_nests(self):
+        F = Adic(BOX)
+        a, b = Fraction(4, 3), sqrt(2)
+        assert repr(twist(twist(F, a), b)) == "Twist(Twist(%r, %s), %s)" % (F, a, b)
 
     @pytest.mark.parametrize(
         "doc",

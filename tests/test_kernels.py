@@ -3,7 +3,7 @@ import random
 import samfilt
 from samfilt import _kernels as kernels
 
-from oracles import brute_colength, minimal_points
+from oracles import brute_colength, minimal_points, staircase_by_each_y
 
 
 def canon(points):
@@ -129,6 +129,23 @@ class TestHelpersPure:
             got = kernels.staircase_gens_2d(rows, xm, ym)
             assert sorted(got) == sorted(brute_staircase(rows, xm, ym))
             assert [g[1] for g in got] == sorted(g[1] for g in got)
+
+    def test_staircase_matches_scan_over_every_y(self):
+        # the jump over flat runs must give exactly the old per-y scan,
+        # order included; skewed weights make long flat runs
+        rnd = random.Random(47)
+        for _ in range(10_000):
+            whi = rnd.choice((4, 40))
+            rows = rand_rows(rnd, rnd.randint(0, 4), whi=whi, chi=10 * whi)
+            xm, ym = rnd.randint(0, 3), rnd.randint(0, 3)
+            assert kernels.staircase_gens_2d(rows, xm, ym) == staircase_by_each_y(
+                rows, xm, ym), (rows, xm, ym)
+
+    def test_staircase_cost_follows_output_not_largest_y(self):
+        # x + y/10^30 >= 3: four generators, y up to 3*10^30
+        big = 10**30
+        assert kernels.staircase_gens_2d([(big, 1, 3 * big)]) == [
+            (3, 0), (2, big), (1, 2 * big), (0, 3 * big)]
 
     def test_prefix_union_count_halfplanes(self):
         # points with 3x+2y < 6: (0,0),(0,1),(0,2),(1,0),(1,1) -> 5
