@@ -8,7 +8,8 @@ Exit codes: 0 ok, 2 parse error, 3 precondition violated, 4 an internal
 limit (table horizon / nesting depth) prevented any answer.
 
 ``main(argv)`` may be called any number of times in one process: the
-argparse tree is built on the first call and reused by later ones.
+argparse tree is built on the first call and reused by later ones. Only
+repeated in-process calls gain; a shell command runs main() once.
 """
 
 from __future__ import annotations
