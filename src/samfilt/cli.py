@@ -4,8 +4,9 @@ One binary with subcommands; filtrations come in as JSON files per the
 grammar in the filtration module, results go out as exact scalars (and
 as machine-readable JSON under --json; see the schemas module).
 
-Exit codes: 0 ok, 2 parse error, 3 precondition violated, 4 an internal
-limit (table horizon / nesting depth) prevented any answer.
+Exit codes: 0 ok, 2 parse error (argparse usage errors included, one
+line on stderr), 3 precondition violated, 4 an internal limit (table
+horizon / nesting depth) prevented any answer.
 
 ``main(argv)`` may be called any number of times in one process: the
 argparse tree is built on the first call and reused by later ones. Only
@@ -295,6 +296,13 @@ def _cmd_rees1(args):
     return _emit(args, lines, doc)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError (exit 2, one line); subparsers inherit it."""
+
+    def error(self, message):
+        raise ParseError("%s: %s" % (self.prog, message))
+
+
 @functools.cache
 def _build_parser():
     """The argparse tree, built on the first main() call and reused after:
@@ -310,7 +318,7 @@ def _build_parser():
     filt.add_argument("--filtration", "-f", required=True, metavar="FILE",
                       help="filtration JSON file")
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="samfilt",
         description="Exact computations with filtrations of monomial ideals.",
     )
@@ -394,8 +402,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)

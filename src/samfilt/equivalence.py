@@ -80,22 +80,11 @@ def valuation_pairs(F: Filtration) -> list:
 
 
 def _normalize_pairs(pairs):
-    norm = []
-    for v, a in pairs:
-        if not isinstance(v, MonomialValuation):
-            v = MonomialValuation(tuple(v))
-        a = as_exact(a)
-        if a.sign() <= 0:
-            raise PreconditionError("scales must be positive")
-        norm.append(primitive_pair(v, a))
-    if not norm:
-        raise PreconditionError("need at least one pair")
-    n = norm[0][0].n
-    for v, _ in norm:
-        if v.n != n:
-            raise PreconditionError("valuations of mixed dimension")
-    # exact duplicates define the same halfspace family
-    return n, list({(v.w, a): (v, a) for v, a in norm}.values())
+    """DiscreteValued validates the family; primitive weights, no exact
+    duplicates (they define the same halfspace)."""
+    F = DiscreteValued(pairs)
+    norm = (primitive_pair(v, a) for v, a in F.pairs)
+    return F.n, list({(v.w, a): (v, a) for v, a in norm}.values())
 
 
 def _essential(i, pairs, n):
@@ -120,18 +109,15 @@ def _essential(i, pairs, n):
 
 
 def make_irredundant(pairs) -> IrredundantRep:
-    """Normal form: primitive weights, no removable pair, sorted."""
+    """Normal form: primitive weights, no removable pair, sorted.  One sweep
+    suffices: a kept pair stays essential as others go, so none is retested."""
     n, work = _normalize_pairs(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work)):
-            if len(work) == 1:
-                break
-            if not _essential(i, work, n):
-                del work[i]
-                changed = True
-                break
+    i = 0
+    while i < len(work):
+        if _essential(i, work, n):
+            i += 1
+        else:
+            del work[i]
     work.sort(key=lambda p: (p[0].w, p[1]))
     return IrredundantRep(work)
 

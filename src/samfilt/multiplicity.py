@@ -228,14 +228,8 @@ def saturation_check(F: Filtration, test_vals, n_max: int) -> SaturationReport:
     for n in range(1, n_max + 1):
         if infinite:
             sat = MonomialIdeal.zero(F.n)
-        else:
-            constraints = [
-                (v.w, a * n, False) for v, a in zip(vals, values) if a.sign() > 0
-            ]
-            if not constraints:
-                sat = MonomialIdeal.unit(F.n)
-            else:
-                sat = system_level(F.n, constraints)
+        else:  # rows of value 0 drop out; none left gives the unit ideal
+            sat = system_level(F.n, [(v.w, a * n, False) for v, a in zip(vals, values)])
         level = F.level(n)
         rows.append(
             SaturationRow(

@@ -21,6 +21,10 @@ DiscreteValued its own nubar.  Their Adic and DiscreteValued roots use
 the oracles above or the library's level code.
 staircase_by_each_y is the 2-D staircase scan the library ran before it
 jumped over the ys where the least allowed x stays flat.
+irredundant_by_restart is the normal form the library computed before
+make_irredundant became one sweep: one strict-cone LP (the library's
+exact simplex) per pair, and the scan restarted from the first pair
+after every removal.
 """
 
 import itertools
@@ -42,7 +46,7 @@ from samfilt import (
 )
 from samfilt.exactnum import as_exact
 
-from samfilt._linprog import OPTIMAL, lp_min, simplex_max
+from samfilt._linprog import OPTIMAL, lp_min, simplex_max, strict_cone_margin
 
 
 def dominates(e, g):
@@ -221,6 +225,37 @@ def primitive(w):
     for x in w:
         g = gcd(g, x)
     return tuple(x // g for x in w)
+
+
+def irredundant_by_restart(pairs):
+    """Sorted primitive (w, a) pairs, none removable, from (w, a) pairs
+    with positive integer w and exact positive a.
+
+    Pair i is essential when some x >= 0 has w_i.x/a_i < w_j.x/a_j for
+    every other j, decided by one exact LP against the pairs present."""
+    work = []
+    for w, a in pairs:
+        g = primitive(w)
+        item = (g, as_exact(a) / (w[0] // g[0]))
+        if item not in work:
+            work.append(item)
+    zero, one = as_exact(0), as_exact(1)
+
+    def essential(i):
+        wi, ai = work[i]
+        rows = [[as_exact(x) / aj - as_exact(y) / ai for x, y in zip(wj, wi)]
+                for j, (wj, aj) in enumerate(work) if j != i]
+        return not rows or strict_cone_margin(rows, zero=zero, one=one)[0] > zero
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(work)):
+            if not essential(i):
+                del work[i]
+                changed = True
+                break
+    return sorted(work)
 
 
 def np_value_lp(gens, e):

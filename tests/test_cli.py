@@ -565,6 +565,24 @@ class TestErrorHandling:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert "levels must cover exactly 1..horizon" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nu", "-f", "{adic}", "--monomial", "-1,2"),
+            ("nu", "-f", "{adic}", "--monomial"),
+            ("k", "-f", "{adic}"),
+            ("nu", "-f", "{adic}", "--monomial", "1,1", "--n-max", "3"),
+            ("nubar", "-f", "{adic}", "--monomial", "1,1", "--n-max", "x"),
+            ("mystery",),
+            (),
+        ],
+    )
+    def test_usage_error_one_line_exit_2(self, run, files, argv):
+        rc, out, err = run(*(a.format(**files) for a in argv))
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("parse error: samfilt")
+        assert "usage:" not in err and "Traceback" not in err
+
     def test_bad_alpha_exit_2(self, run, files):
         rc, _, err = run("twist", "-f", files["dv"], "--alpha", "1.5")
         assert rc == 2 and "parse error" in err
@@ -651,14 +669,13 @@ class TestParserReuse:
         assert rc == 0 and "series written" not in out
         assert not csv_path.exists()
 
-    def test_usage_error_leaves_parser_clean(self, run, files, capsys):
+    def test_usage_error_leaves_parser_clean(self, run, files):
         _build_parser.cache_clear()  # so the first call below builds it
         argv = ("nubar", "-f", files["adic"], "--monomial", "5,0")
         first = run(*argv)
-        with pytest.raises(SystemExit) as exc:
-            run(*argv, "--n-max", "four")
-        assert exc.value.code == 2
-        assert "invalid int value" in capsys.readouterr().err
+        rc, out, err = run(*argv, "--n-max", "four")
+        assert (rc, out) == (2, "")
+        assert err == "parse error: samfilt nubar: argument --n-max: invalid int value: 'four'\n"
         assert run(*argv) == first == (0, "5/2 (exact)\n", "")
 
     @pytest.mark.parametrize("argv", [("--help",), ("mult", "--help")])

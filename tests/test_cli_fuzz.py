@@ -1,5 +1,7 @@
 """Fuzz the command line: mutated filtration files and argument values must
 end in exit 0, 2, 3 or 4 with at most one line on stderr, never a traceback.
+A value that argparse reads as an option (it starts with "-" and is not a
+plain negative number) is a usage error: exit 2 with one line, no usage.
 
 Magnitudes stay small (exponents <= 20, level and power bounds <= 8): the
 point is malformed and odd-shaped input, not deep enumeration.
@@ -19,7 +21,8 @@ from samfilt.cli import main
 EXP = st.integers(0, 20)
 POSITIVE = st.sampled_from(
     ["1", "2", "1/2", "3/2", "7/3", "20/7", "(0+1*sqrt(2))/1", "(1+1*sqrt(3))/2"])
-SCALAR = st.one_of(POSITIVE, st.sampled_from(["0", "-1", "1/0", "inf", "x", ""]))
+DASHED = ["-1,2", "-x", "-1/2", "-(1+1*sqrt(2))/2"]
+SCALAR = st.one_of(POSITIVE, st.sampled_from(["0", "-1", "1/0", "inf", "x", ""] + DASHED))
 BOUND = st.integers(-1, 8).map(str)
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 20), st.floats(0, 3),
                  st.text(max_size=3), st.builds(list), st.builds(dict))
@@ -89,7 +92,7 @@ def invocation(draw):
             draw(mutated(doc))
     mono = draw(st.one_of(
         exponent(draw(st.sampled_from([n, n, n + 1]))).map(lambda e: ",".join(map(str, e))),
-        st.sampled_from(["", "x", "1,,2", "1,-2"])))
+        st.sampled_from(["", "x", "1,,2", "1,-2"] + DASHED)))
     alpha, b1, b2, b3 = draw(SCALAR), draw(BOUND), draw(BOUND), draw(BOUND)
     n_max = draw(st.sampled_from([[], ["--n-max", b1]]))
     argv = {
@@ -130,5 +133,7 @@ def test_cli_exits_cleanly(case):
             rc = main([cmd] + files + argv)
     err = err.getvalue()
     assert rc in (0, 2, 3, 4), (rc, err)
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "usage:" not in err
     assert len(err.splitlines()) <= 1, err
+    if any(a in DASHED for a in argv):
+        assert rc == 2 and len(err.splitlines()) == 1, (argv, err)

@@ -29,6 +29,7 @@ from samfilt.exactnum import as_exact
 from samfilt.valuation import MonomialValuation
 
 from oracles import (
+    irredundant_by_restart,
     min_linear,
     np_value_lp,
     nubar_by_engine,
@@ -155,6 +156,33 @@ class TestMakeIrredundant:
     def test_irrational_scales(self):
         rep = make_irredundant([P((1, 1), sqrt(2)), P((1, 2), sqrt(2))])
         assert [(v.w, a) for v, a in rep.pairs] == [((1, 1), sqrt(2))]
+
+    def test_sweep_matches_restart_oracle(self):
+        """One sweep gives the restart loop's normal form on 300 random
+        1-4-D families: sqrt(2) scales, scaled duplicates, and families
+        padded with pairs that another pair dominates."""
+        rnd = random.Random(109)
+        for trial in range(300):
+            n = trial % 4 + 1
+            pairs = []
+            for _ in range(rnd.randint(1, 4)):
+                a = as_exact(Fraction(rnd.randint(1, 6), rnd.randint(1, 3)))
+                if trial % 6 == 5:  # exact sqrt(2) arithmetic costs more
+                    a = rnd.choice([a, a * sqrt(2), a + sqrt(2)])
+                pairs.append((tuple(rnd.randint(1, 5) for _ in range(n)), a))
+            if rnd.random() < 0.5:
+                w, a = rnd.choice(pairs)
+                k = rnd.randint(2, 3)
+                pairs.append((tuple(k * x for x in w), k * a))
+            if trial % 3 == 0:  # mostly redundant: w grows, a shrinks
+                for _ in range(rnd.randint(len(pairs), len(pairs) + 2)):
+                    w, a = rnd.choice(pairs)
+                    w = tuple(x + rnd.randint(0, 2) for x in w)
+                    pairs.append((w, a * Fraction(rnd.randint(1, 4), 4)))
+            rnd.shuffle(pairs)
+            rep = make_irredundant([P(w, a) for w, a in pairs])
+            got = [(v.w, a) for v, a in rep.pairs]
+            assert got == irredundant_by_restart(pairs), pairs
 
 
 class TestProjectiveEquivalence:

@@ -499,6 +499,13 @@ class TestSaturationCheck:
             ],
         }
 
+    def test_value_zero_gives_unit_rows(self):
+        # v is 0 on the unit ideal, so Sat_n is cut out by no row
+        rep = saturation_check(Adic(MonomialIdeal.unit(2)), [MonomialValuation((1, 2))], 3)
+        assert [x.as_fraction() for x in rep.values] == [0]
+        assert [r.sat for r in rep.rows] == [MonomialIdeal.unit(2)] * 3
+        assert rep.all_equal()
+
     def test_adic_needs_valuation(self):
         with pytest.raises(PreconditionError):
             saturation_check(Adic(BOX), [], 2)
