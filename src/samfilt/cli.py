@@ -184,8 +184,6 @@ def _cmd_equiv(args):
     res = projectively_equivalent(F, G)
     if res.equivalent:
         lines = ["equivalent, alpha = %s" % format_scalar(res.alpha)]
-    elif res.counterexample is None:
-        lines = ["not equivalent, no counterexample monomial found up to degree 64"]
     else:
         lines = ["not equivalent, counterexample monomial = %s"
                  % monomial_str(res.counterexample)]
@@ -193,7 +191,7 @@ def _cmd_equiv(args):
         "command": "equiv",
         "equivalent": res.equivalent,
         "alpha": format_scalar(res.alpha) if res.equivalent else None,
-        "counterexample": list(res.counterexample) if res.counterexample else None,
+        "counterexample": None if res.equivalent else list(res.counterexample),
     }
     return _emit(args, lines, doc)
 
@@ -417,7 +415,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print("precondition error: %s" % exc, file=sys.stderr)
         return 3
-    except SamfiltError as exc:  # pragma: no cover - catch-all for new errors
+    except SamfiltError as exc:  # RecoveryError and any other library error
         print("error: %s" % exc, file=sys.stderr)
         return 3
 

@@ -8,10 +8,11 @@ by omega (after making each weight vector primitive), which gives:
 
 * make_irredundant: drop pairs that never strictly achieve the min,
   canonicalize, sort — a normal form for the filtration.
-* projectively_equivalent: decide whether nubar_F = alpha * nubar_G by
-  comparing normal forms; the witness ratio alpha = a_G,i / a_F,i must
-  be common to all i.  Adic filtrations are equivalent exactly when
-  their Newton polyhedra are homothetic.
+* projectively_equivalent: decide whether nubar_F = alpha * nubar_G, that
+  is P_F = P_G/alpha, by comparing normal forms: every a_G,i / a_F,i must
+  be alpha.  Otherwise a point of P_F or P_G off the other polyhedron,
+  scaled by alpha, gives a counterexample monomial.  Adic filtrations
+  are equivalent exactly when their Newton polyhedra are homothetic.
 * recover_valuations: reconstruct the normal form from a black-box
   omega oracle by directional localization, with a mandatory a
   posteriori validation pass.
@@ -23,7 +24,7 @@ from math import gcd, lcm
 
 from ._linprog import strict_cone_margin
 from .errors import NotPrimaryError, PreconditionError, RecoveryError
-from .exactnum import ExactReal, PlusInfinity, as_exact, format_scalar
+from .exactnum import ExactReal, PlusInfinity, as_exact, floor_of, format_scalar
 from .filtration import DiscreteValued, Filtration
 from .valuation import MonomialValuation, primitive_pair
 
@@ -126,9 +127,8 @@ class EquivalenceResult:
     """Outcome of the projective-equivalence decision.
 
     alpha is the exact ratio with nubar_F = alpha * nubar_G when the
-    filtrations are equivalent, else None; counterexample then holds a
-    monomial exponent on which no single ratio can work, or None when no
-    monomial of degree <= 64 is one.
+    filtrations are equivalent, else None; counterexample is None when they
+    are equivalent, else an exponent on which no single ratio can work.
     """
 
     __slots__ = ("alpha", "counterexample", "left", "right")
@@ -152,17 +152,35 @@ class EquivalenceResult:
         return "EquivalenceResult(counterexample=%r)" % (self.counterexample,)
 
 
-def _counterexample_monomial(repF, repG, n):
-    """A monomial of degree <= 64 where the two order functions are not
-    proportional, or None when they differ only on a thinner cone."""
-    base = tuple([1] * n)
-    wF0, wG0 = repF.omega(base), repG.omega(base)
-    ratio = wF0 / wG0
-    for radius in range(1, 65):
-        for e in _sphere(n, radius):
-            if repF.omega(e) != ratio * repG.omega(e):
-                return e
-    return None
+def _counterexample(F, G, repF, repG, alpha):
+    """The least exponent, by degree then lex, taken from the points p of P_F
+    and P_G with omega_F(p) != alpha * omega_G(p).  Such a p exists unless
+    P_F = P_G/alpha, since each polyhedron then holds the other's vertices."""
+    # omega_F - alpha*omega_G moves by < slack when no coordinate moves by 1, so
+    # on an irrational ray floor(k*p), with k*|gap| >= slack, keeps the gap's sign
+    slack = sum(c * max(as_exact(sum(v.w)) / a for v, a in rep)
+                for c, rep in ((1, repF), (alpha, repG)))
+    found = []
+    for p in (*F._points(), *G._points()):
+        e = _direction(p)
+        q = p if e is None else e  # on one ray: the gaps have one sign
+        gap = repF.omega(q) - alpha * repG.omega(q)
+        if not gap.is_zero():
+            found.append(e or tuple(floor_of((slack / abs(gap)).ceil() * x) for x in p))
+    return min(found, key=lambda e: (sum(e), e))
+
+
+def _direction(u):
+    """The primitive integer vector on the ray through u >= 0, u != 0, or
+    None when that ray is irrational."""
+    pivot = as_exact(next(x for x in u if x != 0))
+    ratios = [as_exact(x) / pivot for x in u]
+    if not all(r.is_rational for r in ratios):
+        return None
+    den = lcm(*(r.r for r in ratios))
+    ints = [r.p * (den // r.r) for r in ratios]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 def _sphere(n, radius):
@@ -178,24 +196,19 @@ def projectively_equivalent(F: Filtration, G: Filtration) -> EquivalenceResult:
     """Decide nubar_F = alpha * nubar_G for some alpha > 0, for any two
     exact engines.
 
-    Works on the normal forms: equivalent iff the primitive valuations
-    coincide and the scale ratios a_G,i / a_F,i are all equal; that
-    common ratio is alpha.
+    Works on the normal forms: equivalent iff G's pairs are F's with every
+    scale times alpha, the ratio omega_F / omega_G at (1, ..., 1); a
+    counterexample otherwise.
     """
     if F.n != G.n:
         raise PreconditionError("dimension mismatch")
     repF = make_irredundant(valuation_pairs(F))
     repG = make_irredundant(valuation_pairs(G))
-    ok = len(repF.pairs) == len(repG.pairs) and all(
-        vf == vg for (vf, _), (vg, _) in zip(repF.pairs, repG.pairs)
-    )
-    if ok:
-        ratios = [ag / af for (_, af), (_, ag) in zip(repF.pairs, repG.pairs)]
-        if all(r == ratios[0] for r in ratios):
-            return EquivalenceResult(ratios[0], None, repF, repG)
-    return EquivalenceResult(
-        None, _counterexample_monomial(repF, repG, F.n), repF, repG
-    )
+    one = (1,) * F.n
+    alpha = repF.omega(one) / repG.omega(one)
+    if repG.pairs == tuple((v, alpha * a) for v, a in repF.pairs):
+        return EquivalenceResult(alpha, None, repF, repG)
+    return EquivalenceResult(None, _counterexample(F, G, repF, repG, alpha), repF, repG)
 
 
 class OmegaOracle:
@@ -253,23 +266,8 @@ def _directional_form(omega, e, d):
 
 def _fit_pair(u):
     """Primitive (w, a) with w_j/a = u_j, or None if not of that shape."""
-    if any(x.sign() <= 0 for x in u):
-        return None
-    pivot = u[0]
-    ratios = []
-    for x in u:
-        r = x / pivot
-        if not r.is_rational:
-            return None
-        ratios.append(r.as_fraction())
-    den = lcm(*(r.denominator for r in ratios))
-    ints = [int(r * den) for r in ratios]
-    g = gcd(*ints)
-    w = tuple(x // g for x in ints)
-    a = as_exact(w[0]) / pivot
-    if a.sign() <= 0:
-        return None
-    return MonomialValuation(w), a
+    w = None if any(x.sign() <= 0 for x in u) else _direction(u)
+    return None if w is None else (MonomialValuation(w), as_exact(w[0]) / u[0])
 
 
 def recover_valuations(omega: OmegaOracle, degree_bound: int) -> IrredundantRep:

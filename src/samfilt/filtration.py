@@ -337,6 +337,7 @@ class DiscreteValued(Filtration):
                 raise DimensionMismatchError("valuations of mixed dimension")
         self.pairs = tuple(norm)
         self.n = n
+        self._vertices = None
 
     def _level(self, m: int) -> MonomialIdeal:
         return self.saturated_level(m)  # every threshold is 0 at m = 0
@@ -351,11 +352,14 @@ class DiscreteValued(Filtration):
     def _rows(self) -> list:
         return [(v.w, a) for v, a in self.pairs]
 
-    def _points(self) -> list:
-        """The vertices of P: x/s over the rays with s > 0 of the cone
-        {(x, s) >= 0 : w_i . x >= a_i s}."""
-        rays = cone_rays([v.w + (-a,) for v, a in self.pairs], self.n)
-        return [tuple(x / r[-1] for x in r[:-1]) for r in rays if r[-1] != 0]
+    def _points(self) -> tuple:
+        """The vertices of P, found once: x/s over the rays with s > 0 of
+        the cone {(x, s) >= 0 : w_i . x >= a_i s}."""
+        if self._vertices is None:
+            rays = cone_rays([v.w + (-a,) for v, a in self.pairs], self.n)
+            self._vertices = tuple(
+                tuple(x / r[-1] for x in r[:-1]) for r in rays if r[-1] != 0)
+        return self._vertices
 
     def to_json(self) -> dict:
         return {
@@ -417,15 +421,13 @@ class Twist(Filtration):
 
     def _rows(self):
         alphas, root = self._chain()
-        rows = root._rows()
-        return None if rows is None else [
-            (l, math.prod(alphas) * c) for l, c in rows]
+        rows, s = root._rows(), math.prod(alphas)
+        return None if rows is None else [(l, s * c) for l, c in rows]
 
     def _points(self):
         alphas, root = self._chain()
-        pts = root._points()
-        return None if pts is None else [
-            [math.prod(alphas) * x for x in p] for p in pts]
+        pts, s = root._points(), math.prod(alphas)
+        return None if pts is None else [[s * x for x in p] for p in pts]
 
     def _bound_reached(self) -> bool:
         # rho(r) = 1 needs alpha*k integral at the index k each twist reads

@@ -25,6 +25,9 @@ irredundant_by_restart is the normal form the library computed before
 make_irredundant became one sweep: one strict-cone LP (the library's
 exact simplex) per pair, and the scan restarted from the first pair
 after every removal.
+counterexample_by_scan is the search projectively_equivalent ran before
+it read its counterexamples off the points of the two polyhedra: every
+exponent by degree, then lex, up to degree 64.
 """
 
 import itertools
@@ -505,3 +508,28 @@ def nubar_ratios_on_grid(nubar_f, nubar_g, n, bound):
         if any(e):
             ratios.add(as_exact(nubar_f(e)) / as_exact(nubar_g(e)))
     return ratios
+
+
+def exponents_of_degree(n, d):
+    """The exponents in n variables of total degree d, in lex order."""
+    if n == 1:
+        return [(d,)]
+    return [(first,) + rest for first in range(d + 1)
+            for rest in exponents_of_degree(n - 1, d - first)]
+
+
+def is_counterexample(omega_f, omega_g, e):
+    """Whether omega_f / omega_g at e differs from its value at (1, ..., 1);
+    both order functions are callables on exponent tuples."""
+    one = (1,) * len(e)
+    return omega_f(e) * omega_g(one) != omega_f(one) * omega_g(e)
+
+
+def counterexample_by_scan(omega_f, omega_g, n, max_degree=64):
+    """The first exponent, by degree then lex, of degree <= max_degree on
+    which omega_f / omega_g is not its value at (1, ..., 1), or None."""
+    for d in range(1, max_degree + 1):
+        for e in exponents_of_degree(n, d):
+            if is_counterexample(omega_f, omega_g, e):
+                return e
+    return None

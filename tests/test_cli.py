@@ -288,7 +288,8 @@ class TestEquiv:
 
     def test_no_counterexample_of_small_degree(self, run, tmp_path):
         # the normal forms differ only on a cone too thin to hold a monomial
-        # of degree <= 64
+        # of degree <= 64; the vertex (100, 101)/10301 of the right-hand
+        # polyhedron lies off the left-hand one
         pairs = [{"w": [102, 1], "a": "1/1"}, {"w": [1, 101], "a": "1/1"},
                  {"w": [103, 102], "a": "100001/50000"}]
         left, right = tmp_path / "thin_f.json", tmp_path / "thin_g.json"
@@ -296,13 +297,13 @@ class TestEquiv:
         right.write_text(json.dumps({"type": "dv", "pairs": pairs[:2]}))
         rc, out, err = run("equiv", "--left", str(left), "--right", str(right))
         assert rc == 0 and err == ""
-        assert out == "not equivalent, no counterexample monomial found up to degree 64\n"
+        assert out == "not equivalent, counterexample monomial = x^100*y^101\n"
         doc = run_json(run, "equiv", "--left", str(left), "--right", str(right))
         assert doc == {
             "command": "equiv",
             "equivalent": False,
             "alpha": None,
-            "counterexample": None,
+            "counterexample": [100, 101],
         }
 
 
@@ -329,6 +330,16 @@ class TestRecover:
     def test_table_exit_3(self, run, files):
         rc, out, err = run("recover", "-f", files["table2"], "--degree-bound", "4")
         assert rc == 3 and out == "" and "exact engine" in err
+
+    def test_unrecoverable_at_the_bound_exit_3(self, run, tmp_path):
+        # RecoveryError has no exit of its own: the library-error catch-all
+        path = tmp_path / "thin.json"
+        pairs = [{"w": [1, 7], "a": "1/1"}, {"w": [7, 1], "a": "1/1"},
+                 {"w": [3, 4], "a": "(0+1*sqrt(2))/1"}]
+        path.write_text(json.dumps({"type": "dv", "pairs": pairs}))
+        rc, out, err = run("recover", "-f", str(path), "--degree-bound", "1")
+        assert rc == 3 and out == ""
+        assert err == "error: no stable directional form found up to degree 1\n"
 
 
 class TestMult:

@@ -28,8 +28,11 @@ from samfilt.equivalence import valuation_pairs
 from samfilt.exactnum import as_exact
 from samfilt.valuation import MonomialValuation
 
+from conftest import reproducer
 from oracles import (
+    counterexample_by_scan,
     irredundant_by_restart,
+    is_counterexample,
     min_linear,
     np_value_lp,
     nubar_by_engine,
@@ -327,12 +330,105 @@ class TestEveryExactEngine:
                 projectively_equivalent(F, DV(((1, 1), 1)))
 
     def test_no_counterexample_of_small_degree(self):
-        # the normal forms differ only on a cone too thin to hold a
-        # monomial of degree <= 64
-        res = projectively_equivalent(DV(*THIN_F), DV(*THIN_F[:2]))
-        assert not res.equivalent
-        assert res.alpha is None and res.counterexample is None
+        # the normal forms differ only on a cone too thin to hold a monomial
+        # of degree <= 64; the vertex (100, 101)/10301 of P_G lies off P_F
+        F, G = DV(*THIN_F), DV(*THIN_F[:2])
+        res = projectively_equivalent(F, G)
+        assert not res.equivalent and res.alpha is None
         assert len(res.left) == 3 and len(res.right) == 2
+        assert res.counterexample == (100, 101)
+        wf, wg = engine_nubar(F), engine_nubar(G)
+        assert is_counterexample(wf, wg, res.counterexample)
+        assert counterexample_by_scan(wf, wg, 2) is None
+
+
+# the thin cone of THIN_F on the face x_3 = ... = 0: the extra weights 3 of
+# the cutting pair keep it above the other two off that face
+THIN_3 = [((102, 1, 1), 1), ((1, 101, 1), 1), ((103, 102, 3), Fraction(100001, 50000))]
+THIN_4 = [((102, 1, 1, 1), 1), ((1, 101, 1, 1), 1),
+          ((103, 102, 3, 3), Fraction(100001, 50000))]
+SCALES = (1, 2, Fraction(3, 2), Fraction(5, 3), sqrt(2), 1 + sqrt(2))
+BETAS = (Fraction(2, 3), 1, Fraction(7, 4), sqrt(2), 1 + sqrt(2))
+
+
+def random_family(rng, n, surd):
+    """One to four pairs, their scales mixing rationals with sqrt(2) ones
+    when surd."""
+    scales = SCALES if surd else SCALES[:4]
+    return [(tuple(rng.randint(1, 5) for _ in range(n)), rng.choice(scales))
+            for _ in range(rng.randint(1, 4))]
+
+
+def random_pair(rng, i):
+    """(F, G, whether equivalent by construction) in 1 + i % 4 variables."""
+    n, surd = 1 + i % 4, i % 3 != 0
+    f = random_family(rng, n, surd)
+    kind = rng.randrange(5)
+    if kind == 0:  # G = beta * F, hidden behind a redundant mediant
+        beta = as_exact(rng.choice(BETAS))
+        (w1, a1), (w2, a2) = f[0], f[-1]
+        mediant = (tuple(x + y for x, y in zip(w1, w2)), as_exact(a1) + a2)
+        g = [(w, beta * a) for w, a in f + [mediant]]
+        rng.shuffle(g)
+        return DV(*f), DV(*g), True
+    if kind == 1:
+        return DV(*f), twist(DV(*f), rng.choice(BETAS)), True
+    if kind == 2:  # one scale moved, which may leave the pair redundant
+        j = rng.randrange(len(f))
+        g = f[:j] + [(f[j][0], as_exact(f[j][1]) * rng.choice((Fraction(3, 4), 2)))] + f[j + 1:]
+        return DV(*f), DV(*g), False
+    if kind == 3:
+        return DV(*f), DV(*random_family(rng, n, surd)), False
+    top = {1: 9, 2: 6, 3: 4, 4: 3}[n]
+    gens = [tuple(top if k == j else 0 for k in range(n)) for j in range(n)]
+    gens += [tuple(rng.randint(0, top - 1) for _ in range(n)) for _ in range(2)]
+    return Adic(MonomialIdeal(n, [g for g in gens if any(g)])), DV(*f), False
+
+
+class TestCounterexamplesFromPoints:
+    """A non-equivalent pair always has a counterexample: the least one,
+    by degree then lex, that a point of P_F or P_G gives."""
+
+    def test_thin_cones_in_three_and_four_variables(self):
+        # the old scan to degree 64 took seconds here and, in 4-D, found none
+        for pairs, want in ((THIN_3, (100, 101, 0)), (THIN_4, (100, 101, 0, 0))):
+            F, G = DV(*pairs), DV(*pairs[:2])
+            res = projectively_equivalent(F, G)
+            assert res.alpha is None and res.counterexample == want
+            assert is_counterexample(engine_nubar(F), engine_nubar(G), want)
+
+    def test_irrational_vertex_is_floored(self):
+        # the vertex ((2 sqrt(2) - 1)/3, (2 - sqrt(2))/3) of P_F, off P_G, is
+        # on an irrational ray: the counterexample is floor(k * p)
+        f = [((1, 2), 1), ((2, 1), sqrt(2))]
+        F, G = DV(*f), DV(*f, ((2, 3), 2))
+        assert any(not (p[0] / p[1]).is_rational for p in F._points() if p[1] != 0)
+        res = projectively_equivalent(F, G)
+        assert res.counterexample == (34, 11)
+        wf, wg = engine_nubar(F), engine_nubar(G)
+        assert is_counterexample(wf, wg, (34, 11))
+        # the least counterexample lies on no ray through a point
+        assert counterexample_by_scan(wf, wg, 2) == (2, 1)
+
+    def test_random_pairs_against_the_oracles(self, rng):
+        kinds = {True: 0, False: 0}
+        for i in range(320):
+            F, G, by_construction = random_pair(rng, i)
+            case = reproducer({"i": i, "F": F.to_json(), "G": G.to_json()})
+            res = projectively_equivalent(F, G)
+            wf, wg = engine_nubar(F), engine_nubar(G)
+            scan = counterexample_by_scan(wf, wg, F.n, 4)
+            if res.equivalent:
+                assert res.counterexample is None and scan is None, case
+                assert nubar_ratios_on_grid(wf, wg, F.n, 2) == {res.alpha}, case
+            else:
+                e = res.counterexample
+                assert res.alpha is None and not by_construction, case
+                assert len(e) == F.n and all(isinstance(x, int) and x >= 0 for x in e), case
+                assert is_counterexample(wf, wg, e), case
+                assert scan is None or (sum(scan), scan) <= (sum(e), e), case
+            kinds[res.equivalent] += 1
+        assert min(kinds.values()) >= 100
 
 
 class TestOmegaOracle:

@@ -20,6 +20,9 @@ from samfilt import (
     SupportPoly,
     Table,
     Twist,
+    filtration,
+    projectively_equivalent,
+    saturation_check,
     sqrt,
 )
 from samfilt.exactnum import as_exact
@@ -145,3 +148,22 @@ def test_twist_factors_multiply_before_the_root_scales():
     assert F.multiplicity() == Fraction(3, 2) * (1 + sqrt(2))
     assert F.value_limit(MonomialValuation((2,))) == 3 * (1 + sqrt(2))
     assert F.saturated_level(2).gens == ((8,),)
+
+
+def test_discrete_valued_vertices_are_found_once(monkeypatch):
+    # value_limit, multiplicity, saturation_check and projectively_equivalent
+    # all read the vertices: one cone_rays run per engine serves them all
+    calls, cone_rays = [], filtration.cone_rays
+
+    def counted(rows, n):
+        calls.append(n)
+        return cone_rays(rows, n)
+
+    monkeypatch.setattr(filtration, "cone_rays", counted)
+    F = DiscreteValued([((1, 2), 1), ((2, 1), sqrt(2)), ((1, 1), Fraction(4, 5))])
+    assert F._points() is F._points()
+    F.value_limit(MonomialValuation((1, 1)))
+    F.multiplicity()
+    saturation_check(F, [(1, 1), (1, 3)], 2)
+    assert projectively_equivalent(F, Adic(MonomialIdeal(2, [(2, 0), (0, 3)]))).counterexample
+    assert calls == [2]
