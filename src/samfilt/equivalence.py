@@ -75,6 +75,10 @@ def valuation_pairs(F: Filtration) -> list:
     """F's polyhedron rows (l, c) as pairs (MonomialValuation(l), c);
     NotPrimaryError when some l has a zero entry."""
     rows = F._exact_rows("valuation pairs")
+    if not rows:  # an adic unit ideal: P is the whole orthant
+        raise PreconditionError("the unit ideal has no valuation pairs")
+    if not any(rows[0][0]):  # an adic zero ideal: P is empty
+        raise NotPrimaryError("the zero ideal has no valuation pairs")
     if not all(all(l) for l, _ in rows):
         raise NotPrimaryError("not primary: a normal of the polyhedron has a zero entry")
     return [(MonomialValuation(l), c) for l, c in rows]

@@ -17,6 +17,11 @@ every level).  Level results are cached per filtration; with the GIL a
 plain dict is safe for concurrent readers, at worst a level is computed
 twice.
 
+An adic order builds no level: with t = floor(nubar(x^e)), Briancon-Skoda
+gives t - n + 1 <= order(x^e) <= t.  Tests from t down strip generators
+depth first; one that holds costs about a state per generator stripped,
+one that fails every remainder between two levels (3-D: seconds, no budget).
+
 Every exact engine has one polyhedron P in the orthant, P + orthant =
 P, with nubar(x^e) the largest t such that e is in t*P: NP(I) for
 Adic(I), {x >= 0 : w_i . x >= a_i} for DiscreteValued, [alpha, inf) for
@@ -67,7 +72,6 @@ from .exactnum import (
     parse_scalar,
 )
 from .monomial import (
-    Exponent,
     MonomialIdeal,
     SupportPoly,
     cone_rays,
@@ -240,7 +244,6 @@ class Adic(Filtration):
         super().__init__()
         self.ideal = ideal
         self.n = ideal.n
-        self._order_memo: dict[Exponent, int] = {}
 
     def _level(self, m: int) -> MonomialIdeal:
         """I^m, multiplied up from the nearest cached power below m; every
@@ -253,42 +256,36 @@ class Adic(Filtration):
             ideal = self._cache[j] = ideal * self.ideal
         return ideal
 
-    def _order_exponent(self, e: Exponent) -> int:
-        """Largest m with x^e in I^m: 1 + the best order left after
-        stripping one generator, memoized.  An explicit stack holds the
-        exponents still waiting for the orders of their remainders."""
-        memo = self._order_memo
-        stack = [e]
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            best, missing = 0, False
-            for g in self.ideal.gens:
-                rest = tuple(map(operator.sub, top, g))
-                if min(rest) < 0:
-                    continue
-                got = memo.get(rest)
-                if got is None:
-                    stack.append(rest)
-                    missing = True
-                elif got >= best:
-                    best = got + 1
-            if not missing:
-                memo[top] = best
-                stack.pop()
-        return memo[e]
-
     def order(self, f: SupportPoly) -> OrderValue:
         f = self._check_elem(f)
-        if f.is_zero:
+        rows = self._rows()
+        if f.is_zero or not rows:  # only the unit ideal has no rows
             return INF
-        if self.ideal.is_unit:
-            return INF
-        if self.ideal.is_zero:
-            return 0
-        return min(self._order_exponent(e) for e in f.min_support())
+        return min(self._order_exponent(rows, e) for e in f.min_support())
+
+    def _order_exponent(self, rows, e: tuple) -> int:
+        """Largest k with x^e in I^k, searched in the window (module doc)."""
+        def floor_nubar(x):
+            return min(sum(map(operator.mul, l, x)) // c for l, c in rows)
+        foot = max(floor_nubar(e) - self.n + 1, 0)
+        for k in range(floor_nubar(e), foot, -1):
+            stack, owed = [(e, k)], {e: k}  # x^y must lie in I^owed[y]
+            while stack:
+                x, j = stack.pop()
+                kids = []
+                for g in self.ideal.gens:
+                    y = tuple(map(operator.sub, x, g))
+                    if min(y) < 0 or owed.get(y, j) < j:  # owed j - 1 or less already
+                        continue
+                    t = floor_nubar(y)
+                    if j == 1 or t - self.n + 2 >= j:  # y in I^(j-1) for sure
+                        return k
+                    if t >= j - 1:  # else y is not in I^(j-1)
+                        kids.append((t, y))
+                for _, y in sorted(kids):  # the most slack is popped first
+                    owed[y] = j - 1
+                    stack.append((y, j - 1))
+        return foot
 
     def asymptotic_order(self, f: SupportPoly, n_max: int) -> NubarResult:
         if not self.ideal.is_proper_nonzero:

@@ -482,8 +482,6 @@ def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     """Integral closure: all monomials inside the Newton polyhedron."""
     if ideal.is_zero or ideal.is_unit:
         return ideal
-    if ideal.n == 1:
-        return ideal  # principal monomial ideals are integrally closed
     return np_threshold_level(ideal, 1)
 
 

@@ -28,6 +28,9 @@ after every removal.
 counterexample_by_scan is the search projectively_equivalent ran before
 it read its counterexamples off the points of the two polyhedra: every
 exponent by degree, then lex, up to degree 64.
+adic_order_dp is the order Adic.order computed before it searched the
+Briancon-Skoda window: a dynamic program over every exponent reachable
+by stripping generators.
 """
 
 import itertools
@@ -119,6 +122,36 @@ def adic_order(gens, e, cap=60):
         else:
             return best
     return best
+
+
+def adic_order_dp(gens, e):
+    """Largest m with x^e in I^m, by the dynamic program Adic.order ran
+    before it searched the Briancon-Skoda window: 1 + the best order left
+    after stripping one generator, over every exponent reachable by
+    stripping, with an explicit stack of exponents still waiting for
+    the orders of their remainders."""
+    memo = {}
+    stack = [tuple(e)]
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+            continue
+        best, missing = 0, False
+        for g in gens:
+            rest = tuple(a - b for a, b in zip(top, g))
+            if min(rest) < 0:
+                continue
+            got = memo.get(rest)
+            if got is None:
+                stack.append(rest)
+                missing = True
+            elif got >= best:
+                best = got + 1
+        if not missing:
+            memo[top] = best
+            stack.pop()
+    return memo[tuple(e)]
 
 
 def dv_level_members(pairs, m, box):

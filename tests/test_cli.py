@@ -90,12 +90,15 @@ class TestNu:
         assert doc == {"command": "nu", "kind": "infinite", "value": None}
 
 
-    def test_deep_power_of_adic(self, run, tmp_path):
+    def test_deep_power_of_adic(self, run, files, tmp_path):
         # the order walk has no recursion depth growing with the exponent
         path = tmp_path / "adic_xy.json"
         path.write_text(json.dumps({"type": "adic", "ideal": {"n": 2, "gens": [[1, 0], [0, 1]]}}))
         rc, out, err = run("nu", "-f", str(path), "--monomial", "1200,0")
         assert (rc, out, err) == (0, "1200\n", "")
+        # and no memo: (x^2, y^3) answers by a dive of 28333 strips
+        rc, out, err = run("nu", "-f", files["adic"], "--monomial", "30001,40000")
+        assert (rc, out, err) == (0, "28333\n", "")
 
 
 class TestNubar:
@@ -277,6 +280,13 @@ class TestEquiv:
             rc, out, err = run("equiv", "--left", left, "--right", right)
             assert rc == 3 and out == "" and "not primary" in err
 
+    def test_unit_and_zero_ideals_exit_3(self, run, files):
+        for key, name in (("unit", "the unit ideal"), ("zero", "the zero ideal")):
+            for left, right in ((files[key], files["dv"]), (files["adic"], files[key])):
+                rc, out, err = run("equiv", "--left", left, "--right", right)
+                assert rc == 3 and out == "" and len(err.splitlines()) == 1
+                assert err.startswith("precondition error: %s has no valuation pairs" % name)
+
     def test_adic_against_dv_answers(self, run, files, tmp_path):
         # NP((x^2, y^3)) has the one facet 3x + 2y >= 6
         facet = tmp_path / "facet.json"
@@ -330,6 +340,12 @@ class TestRecover:
     def test_table_exit_3(self, run, files):
         rc, out, err = run("recover", "-f", files["table2"], "--degree-bound", "4")
         assert rc == 3 and out == "" and "exact engine" in err
+
+    def test_unit_and_zero_ideals_exit_3(self, run, files):
+        for key, name in (("unit", "the unit ideal"), ("zero", "the zero ideal")):
+            rc, out, err = run("recover", "-f", files[key], "--degree-bound", "4")
+            assert rc == 3 and out == "" and len(err.splitlines()) == 1
+            assert err.startswith("precondition error: %s has no valuation pairs" % name)
 
     def test_unrecoverable_at_the_bound_exit_3(self, run, tmp_path):
         # RecoveryError has no exit of its own: the library-error catch-all

@@ -320,8 +320,10 @@ class TestEveryExactEngine:
         F = Adic(MonomialIdeal(2, [(2, 0), (1, 1)]))  # no power of y
         with pytest.raises(NotPrimaryError, match="zero entry"):
             projectively_equivalent(F, Adic(I2))
-        with pytest.raises(NotPrimaryError):
+        with pytest.raises(NotPrimaryError, match="the zero ideal"):
             valuation_pairs(Adic(MonomialIdeal.zero(2)))
+        with pytest.raises(PreconditionError, match="the unit ideal"):
+            valuation_pairs(Adic(MonomialIdeal.unit(2)))
 
     def test_table_rooted_rejected(self):
         T = Table({1: MonomialIdeal(2, [(1, 0), (0, 1)])}, 1)

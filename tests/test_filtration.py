@@ -32,7 +32,7 @@ from samfilt import (
 from samfilt.exactnum import format_scalar
 from samfilt.valuation import MonomialValuation
 
-from oracles import adic_order, dv_level_members, dv_order, minimal_points
+from oracles import adic_order, adic_order_dp, dv_level_members, dv_order, minimal_points
 
 BOX = MonomialIdeal(2, [(2, 0), (0, 3)])
 xy = SupportPoly.monomial((1, 1))
@@ -119,6 +119,9 @@ class TestAdic:
         assert F.order(mono(2, 0)) == 1
         assert F.order(mono(3, 3)) == 2
         assert F.order(mono(6, 0)) == 3
+        # one window test each, answered by a dive: e0 // 2 + e1 // 3
+        assert F.order(mono(3000, 4000)) == 2833
+        assert F.order(mono(30001, 40000)) == 28333
 
     def test_order_of_poly_is_min_over_support(self):
         F = Adic(BOX)
@@ -140,6 +143,38 @@ class TestAdic:
                 assert F.order(SupportPoly.monomial(e)) == adic_order(
                     I.gens, e, cap=30
                 ), (gens, e)
+
+    def test_order_matches_the_dp_oracle(self):
+        # the benchmark's six corners, one per residue class mod (2, 3);
+        # two at the foot of the window, order = floor(nubar) - n + 1;
+        # then seeded ideals in 1-4 variables, half of them with pure
+        # powers added, the rest mostly non-primary
+        cases = [(BOX, (200 - i % 2, 225 - i % 3)) for i in range(6)]
+        cases += [(MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)]), (5, 5, 5)),
+                  (MonomialIdeal(4, [(4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0),
+                                     (0, 0, 0, 4)]), (7, 7, 7, 7))]
+        rnd = random.Random(18)
+        while len(cases) < 2400:
+            n = rnd.randint(1, 4)
+            gens = [tuple(rnd.randint(0, 4) for _ in range(n))
+                    for _ in range(rnd.randint(1, 4))]
+            if rnd.random() < 0.5:
+                gens += [tuple(rnd.randint(2, 6) * (i == j) for i in range(n))
+                         for j in range(n)]
+            if all(any(g) for g in gens):
+                e = tuple(rnd.randint(0, (40, 40, 16, 9)[n - 1]) for _ in range(n))
+                cases.append((MonomialIdeal(n, gens), e))
+        assert sum(not I.is_primary() for I, _ in cases) > 500
+        for I, e in cases:
+            assert Adic(I).order(mono(*e)) == adic_order_dp(I.gens, e), (I, e)
+
+    def test_order_keeps_no_state(self):
+        # a test that holds in 2-D, and two that fail in 3-D
+        cubes = MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
+        for I, e, want in ((BOX, (3000, 4000), 2833), (cubes, (5, 5, 5), 3)):
+            F = Adic(I)
+            assert F.order(mono(*e)) == want
+            assert vars(F) == {"_cache": {}, "ideal": I, "n": I.n}
 
     def test_unit_ideal_gives_infinite_order(self):
         F = Adic(MonomialIdeal.unit(2))

@@ -406,6 +406,8 @@ class TestIntegralClosure:
     def test_frozen_box(self):
         I = MonomialIdeal(2, [(2, 0), (0, 3)])
         assert integral_closure(I).gens == ((2, 0), (0, 3), (1, 2))
+        # in one variable the box is (x^4), and it is integrally closed
+        assert integral_closure(MonomialIdeal(1, [(4,)])).gens == ((4,),)
 
     def test_frozen_triangle(self):
         J = MonomialIdeal(2, [(3, 0), (1, 1), (0, 2)])
