@@ -9,10 +9,12 @@ by omega (after making each weight vector primitive), which gives:
 * make_irredundant: drop pairs that never strictly achieve the min,
   canonicalize, sort — a normal form for the filtration.
 * projectively_equivalent: decide whether nubar_F = alpha * nubar_G, that
-  is P_F = P_G/alpha, by comparing normal forms: every a_G,i / a_F,i must
-  be alpha.  Otherwise a point of P_F or P_G off the other polyhedron,
-  scaled by alpha, gives a counterexample monomial.  Adic filtrations
-  are equivalent exactly when their Newton polyhedra are homothetic.
+  is P_F = P_G/alpha, on the points of the two polyhedra: with alpha the
+  ratio at (1, ..., 1), omega_F = alpha * omega_G at every point of P_F
+  and P_G exactly when each polyhedron holds the other's vertices, scaled
+  by alpha.  No normal form is built; a point where the two differ gives
+  a counterexample monomial.  Adic filtrations are equivalent exactly
+  when their Newton polyhedra are homothetic.
 * recover_valuations: reconstruct the normal form from a black-box
   omega oracle by directional localization, with a mandatory a
   posteriori validation pass.
@@ -20,13 +22,19 @@ by omega (after making each weight vector primitive), which gives:
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd, lcm
 
 from ._linprog import strict_cone_margin
-from .errors import NotPrimaryError, PreconditionError, RecoveryError
+from .errors import DimensionMismatchError, NotPrimaryError, PreconditionError, RecoveryError
 from .exactnum import ExactReal, PlusInfinity, as_exact, floor_of, format_scalar
 from .filtration import DiscreteValued, Filtration
 from .valuation import MonomialValuation, primitive_pair
+
+
+def _omega(pairs, x) -> ExactReal:
+    """min_i w_i.x/a_i over the pairs (v_i, a_i), at x >= 0."""
+    return min(as_exact(v.value_exponent(x)) / a for v, a in pairs)
 
 
 class IrredundantRep:
@@ -53,7 +61,7 @@ class IrredundantRep:
 
     def omega(self, e) -> ExactReal:
         """min_i w_i.e/a_i at the exponent e."""
-        return min(as_exact(v.value_exponent(e)) / a for v, a in self.pairs)
+        return _omega(self.pairs, e)
 
     def to_filtration(self) -> DiscreteValued:
         return DiscreteValued(list(self.pairs))
@@ -84,14 +92,6 @@ def valuation_pairs(F: Filtration) -> list:
     return [(MonomialValuation(l), c) for l, c in rows]
 
 
-def _normalize_pairs(pairs):
-    """DiscreteValued validates the family; primitive weights, no exact
-    duplicates (they define the same halfspace)."""
-    F = DiscreteValued(pairs)
-    norm = (primitive_pair(v, a) for v, a in F.pairs)
-    return F.n, list({(v.w, a): (v, a) for v, a in norm}.values())
-
-
 def _essential(i, pairs, n):
     """Whether pair i strictly achieves the min somewhere on the orthant.
 
@@ -114,12 +114,16 @@ def _essential(i, pairs, n):
 
 
 def make_irredundant(pairs) -> IrredundantRep:
-    """Normal form: primitive weights, no removable pair, sorted.  One sweep
-    suffices: a kept pair stays essential as others go, so none is retested."""
-    n, work = _normalize_pairs(pairs)
+    """Normal form: primitive weights, no exact duplicates (they define the
+    same halfspace), no removable pair, sorted.  DiscreteValued validates the
+    family.  One sweep suffices: a kept pair stays essential as others go,
+    so none is retested."""
+    F = DiscreteValued(pairs)
+    norm = (primitive_pair(v, a) for v, a in F.pairs)
+    work = list({(v.w, a): (v, a) for v, a in norm}.values())
     i = 0
     while i < len(work):
-        if _essential(i, work, n):
+        if _essential(i, work, F.n):
             i += 1
         else:
             del work[i]
@@ -132,16 +136,15 @@ class EquivalenceResult:
 
     alpha is the exact ratio with nubar_F = alpha * nubar_G when the
     filtrations are equivalent, else None; counterexample is None when they
-    are equivalent, else an exponent on which no single ratio can work.
+    are equivalent, else the least exponent, by degree then lex, that a
+    point of P_F or P_G gives and on which no single ratio can work.
     """
 
-    __slots__ = ("alpha", "counterexample", "left", "right")
+    __slots__ = ("alpha", "counterexample")
 
-    def __init__(self, alpha, counterexample, left, right):
+    def __init__(self, alpha, counterexample):
         self.alpha = alpha
         self.counterexample = counterexample
-        self.left = left
-        self.right = right
 
     @property
     def equivalent(self):
@@ -154,24 +157,6 @@ class EquivalenceResult:
         if self.equivalent:
             return "EquivalenceResult(alpha=%s)" % self.alpha
         return "EquivalenceResult(counterexample=%r)" % (self.counterexample,)
-
-
-def _counterexample(F, G, repF, repG, alpha):
-    """The least exponent, by degree then lex, taken from the points p of P_F
-    and P_G with omega_F(p) != alpha * omega_G(p).  Such a p exists unless
-    P_F = P_G/alpha, since each polyhedron then holds the other's vertices."""
-    # omega_F - alpha*omega_G moves by < slack when no coordinate moves by 1, so
-    # on an irrational ray floor(k*p), with k*|gap| >= slack, keeps the gap's sign
-    slack = sum(c * max(as_exact(sum(v.w)) / a for v, a in rep)
-                for c, rep in ((1, repF), (alpha, repG)))
-    found = []
-    for p in (*F._points(), *G._points()):
-        e = _direction(p)
-        q = p if e is None else e  # on one ray: the gaps have one sign
-        gap = repF.omega(q) - alpha * repG.omega(q)
-        if not gap.is_zero():
-            found.append(e or tuple(floor_of((slack / abs(gap)).ceil() * x) for x in p))
-    return min(found, key=lambda e: (sum(e), e))
 
 
 def _direction(u):
@@ -198,21 +183,35 @@ def _sphere(n, radius):
 
 def projectively_equivalent(F: Filtration, G: Filtration) -> EquivalenceResult:
     """Decide nubar_F = alpha * nubar_G for some alpha > 0, for any two
-    exact engines.
+    exact engines, on the points of P_F and P_G.
 
-    Works on the normal forms: equivalent iff G's pairs are F's with every
-    scale times alpha, the ratio omega_F / omega_G at (1, ..., 1); a
-    counterexample otherwise.
+    alpha can only be the ratio omega_F / omega_G at (1, ..., 1).  If
+    omega_F = alpha * omega_G at every point of both polyhedra, each
+    polyhedron holds the other's vertices, scaled by alpha, so P_F =
+    P_G/alpha and the filtrations are equivalent.  Otherwise a point p
+    with omega_F(p) != alpha * omega_G(p) gives a counterexample: the
+    primitive vector on p's ray, or floor(k * p) on an irrational ray.
     """
     if F.n != G.n:
-        raise PreconditionError("dimension mismatch")
-    repF = make_irredundant(valuation_pairs(F))
-    repG = make_irredundant(valuation_pairs(G))
+        raise DimensionMismatchError("dimension mismatch")
+    pf, pg = valuation_pairs(F), valuation_pairs(G)
     one = (1,) * F.n
-    alpha = repF.omega(one) / repG.omega(one)
-    if repG.pairs == tuple((v, alpha * a) for v, a in repF.pairs):
-        return EquivalenceResult(alpha, None, repF, repG)
-    return EquivalenceResult(None, _counterexample(F, G, repF, repG, alpha), repF, repG)
+    alpha = _omega(pf, one) / _omega(pg, one)
+    # omega_F - alpha*omega_G moves by < slack when no coordinate moves by 1 (rows
+    # that are not facets only raise it), so on an irrational ray floor(k*p),
+    # with k*|gap| >= slack, keeps the gap's sign
+    slack = sum(c * max(as_exact(sum(v.w)) / a for v, a in pairs)
+                for c, pairs in ((1, pf), (alpha, pg)))
+    found = []
+    for p in (*F._points(), *G._points()):
+        e = _direction(p)
+        q = p if e is None else e  # on one ray: the gaps have one sign
+        gap = _omega(pf, q) - alpha * _omega(pg, q)
+        if not gap.is_zero():
+            found.append(e or tuple(floor_of((slack / abs(gap)).ceil() * x) for x in p))
+    if not found:
+        return EquivalenceResult(alpha, None)
+    return EquivalenceResult(None, min(found, key=lambda e: (sum(e), e)))
 
 
 class OmegaOracle:
@@ -227,12 +226,9 @@ class OmegaOracle:
 
     @classmethod
     def from_pairs(cls, pairs):
-        n, work = _normalize_pairs(pairs)
-
-        def ev(e):
-            return min(as_exact(v.value_exponent(e)) / a for v, a in work)
-
-        return cls(n, ev)
+        """omega of the pairs as given, once DiscreteValued has validated them."""
+        F = DiscreteValued(pairs)
+        return cls(F.n, partial(_omega, F.pairs))
 
     def __call__(self, e):
         e = tuple(e)

@@ -28,6 +28,9 @@ after every removal.
 counterexample_by_scan is the search projectively_equivalent ran before
 it read its counterexamples off the points of the two polyhedra: every
 exponent by degree, then lex, up to degree 64.
+equivalent_by_normal_forms is the decision projectively_equivalent made
+before it read the points of the two polyhedra: both irredundant normal
+forms (the library's make_irredundant), compared pair by pair.
 adic_order_dp is the order Adic.order computed before it searched the
 Briancon-Skoda window: a dynamic program over every exponent reachable
 by stripping generators.
@@ -46,10 +49,12 @@ from samfilt import (
     StairOneVar,
     Twist,
     integral_closure,
+    make_irredundant,
     newton_facets,
     np_threshold_level,
     system_level,
 )
+from samfilt.equivalence import valuation_pairs
 from samfilt.exactnum import as_exact
 
 from samfilt._linprog import OPTIMAL, lp_min, simplex_max, strict_cone_margin
@@ -566,3 +571,14 @@ def counterexample_by_scan(omega_f, omega_g, n, max_degree=64):
             if is_counterexample(omega_f, omega_g, e):
                 return e
     return None
+
+
+def equivalent_by_normal_forms(F, G):
+    """The alpha with nubar_F = alpha * nubar_G, or None: alpha is the ratio
+    of the two normal forms at (1, ..., 1), and G's pairs must be F's with
+    every scale times alpha."""
+    rep_f = make_irredundant(valuation_pairs(F))
+    rep_g = make_irredundant(valuation_pairs(G))
+    one = (1,) * F.n
+    alpha = rep_f.omega(one) / rep_g.omega(one)
+    return alpha if rep_g.pairs == tuple((v, alpha * a) for v, a in rep_f.pairs) else None

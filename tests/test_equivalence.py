@@ -6,6 +6,7 @@ import pytest
 
 from samfilt import (
     Adic,
+    DimensionMismatchError,
     DiscreteValued,
     IrredundantRep,
     MonomialIdeal,
@@ -24,6 +25,7 @@ from samfilt import (
     sqrt,
     twist,
 )
+import samfilt.equivalence
 from samfilt.equivalence import valuation_pairs
 from samfilt.exactnum import as_exact
 from samfilt.valuation import MonomialValuation
@@ -31,6 +33,7 @@ from samfilt.valuation import MonomialValuation
 from conftest import reproducer
 from oracles import (
     counterexample_by_scan,
+    equivalent_by_normal_forms,
     irredundant_by_restart,
     is_counterexample,
     min_linear,
@@ -230,9 +233,8 @@ class TestProjectiveEquivalence:
         assert e is not None
         # the witness breaks proportionality against the all-ones point
         base = (1,) * 2
-        lhs = r.left.omega(e) * r.right.omega(base)
-        rhs = r.left.omega(base) * r.right.omega(e)
-        assert lhs != rhs
+        wf, wg = engine_nubar(F), engine_nubar(G)
+        assert wf(e) * wg(base) != wf(base) * wg(e)
 
     def test_redundant_components_invisible(self):
         F = DV(((1, 2), 1), ((2, 1), 1))
@@ -249,7 +251,7 @@ class TestProjectiveEquivalence:
         assert not r.equivalent and r.counterexample is not None
 
     def test_dimension_mismatch(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionMismatchError, match="dimension mismatch"):
             projectively_equivalent(DV(((1, 1), 1)), DV(((1, 1, 1), 1)))
 
 
@@ -337,7 +339,7 @@ class TestEveryExactEngine:
         F, G = DV(*THIN_F), DV(*THIN_F[:2])
         res = projectively_equivalent(F, G)
         assert not res.equivalent and res.alpha is None
-        assert len(res.left) == 3 and len(res.right) == 2
+        assert len(make_irredundant(F.pairs)) == 3 and len(make_irredundant(G.pairs)) == 2
         assert res.counterexample == (100, 101)
         wf, wg = engine_nubar(F), engine_nubar(G)
         assert is_counterexample(wf, wg, res.counterexample)
@@ -401,14 +403,17 @@ class TestCounterexamplesFromPoints:
 
     def test_irrational_vertex_is_floored(self):
         # the vertex ((2 sqrt(2) - 1)/3, (2 - sqrt(2))/3) of P_F, off P_G, is
-        # on an irrational ray: the counterexample is floor(k * p)
+        # on an irrational ray: the counterexample is floor(k * p), with k
+        # set by a slack over the rows as given; G's row ((1, 2), 1) is not a
+        # facet of P_G, and it raises k above what the facets alone give
         f = [((1, 2), 1), ((2, 1), sqrt(2))]
         F, G = DV(*f), DV(*f, ((2, 3), 2))
         assert any(not (p[0] / p[1]).is_rational for p in F._points() if p[1] != 0)
+        assert len(make_irredundant(G.pairs)) == 2
         res = projectively_equivalent(F, G)
-        assert res.counterexample == (34, 11)
+        assert res.counterexample == (37, 12)
         wf, wg = engine_nubar(F), engine_nubar(G)
-        assert is_counterexample(wf, wg, (34, 11))
+        assert is_counterexample(wf, wg, (37, 12))
         # the least counterexample lies on no ray through a point
         assert counterexample_by_scan(wf, wg, 2) == (2, 1)
 
@@ -418,6 +423,7 @@ class TestCounterexamplesFromPoints:
             F, G, by_construction = random_pair(rng, i)
             case = reproducer({"i": i, "F": F.to_json(), "G": G.to_json()})
             res = projectively_equivalent(F, G)
+            assert res.alpha == equivalent_by_normal_forms(F, G), case
             wf, wg = engine_nubar(F), engine_nubar(G)
             scan = counterexample_by_scan(wf, wg, F.n, 4)
             if res.equivalent:
@@ -431,6 +437,30 @@ class TestCounterexamplesFromPoints:
                 assert scan is None or (sum(scan), scan) <= (sum(e), e), case
             kinds[res.equivalent] += 1
         assert min(kinds.values()) >= 100
+
+
+class TestNoNormalForm:
+    """Equivalence is decided on the points of the two polyhedra: it
+    builds no normal form, so it solves no strict-cone LP."""
+
+    def test_answers_without_the_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("projectively_equivalent solved an LP")
+
+        monkeypatch.setattr(samfilt.equivalence, "strict_cone_margin", refuse)
+        F = DV(((1, 2), 1), ((2, 1), 1))
+        G = DV(((2, 4), 3), ((2, 1), Fraction(3, 2)))
+        assert projectively_equivalent(F, G).alpha == Fraction(3, 2)
+        F = DV(((1, 2), 1), ((2, 1), 1), ((1, 1), Fraction(3, 4)))
+        for alpha in (Fraction(2, 3), sqrt(2)):
+            assert projectively_equivalent(F, bracket_twist(F, alpha)).alpha == as_exact(alpha)
+        for I, k in ((I2, 3), (I3, 2)):
+            assert projectively_equivalent(Adic(I), Adic(I**k)).alpha == k
+        S = StairOneVar(sqrt(2), 2)
+        assert projectively_equivalent(S, DV(((1,), sqrt(2)))).alpha == 1
+        for pairs, want in ((THIN_F, (100, 101)), (THIN_3, (100, 101, 0))):
+            res = projectively_equivalent(DV(*pairs), DV(*pairs[:2]))
+            assert res.alpha is None and res.counterexample == want
 
 
 class TestOmegaOracle:
