@@ -23,7 +23,6 @@ from .exactnum import (
     PlusInfinity,
     as_exact,
     ceil_of,
-    compare,
     floor_of,
     format_scalar,
     parse_scalar,
@@ -118,7 +117,6 @@ __all__ = [
     "bracket_twist",
     "ceil_of",
     "colength",
-    "compare",
     "filtration_from_json",
     "filtration_value",
     "floor_of",

@@ -383,7 +383,7 @@ def _build_parser():
     s.set_defaults(fn=_cmd_val)
 
     s = sub.add_parser("sat", parents=[common, filt],
-                       help="compare levels with the valuation saturation bound")
+                       help="check levels against the valuation saturation bound")
     s.add_argument("--test-vals", metavar="W1,W2;W1,W2", default=None)
     s.add_argument("--n-max", type=int, default=None)
     s.set_defaults(fn=_cmd_sat)

@@ -63,9 +63,6 @@ class IrredundantRep:
         """min_i w_i.e/a_i at the exponent e."""
         return _omega(self.pairs, e)
 
-    def to_filtration(self) -> DiscreteValued:
-        return DiscreteValued(list(self.pairs))
-
     def to_json(self):
         return [{"w": list(v.w), "a": format_scalar(a)} for v, a in self.pairs]
 

@@ -6,7 +6,11 @@ around.  Comparisons, floors and ceilings are decided exactly by integer sign
 and squaring arguments; no floating point enters any decision.
 
 Arithmetic is closed within a single quadratic extension Q(sqrt(d)).
-Combining two distinct radicals raises MixedRadicalError.
+Combining two distinct radicals raises MixedRadicalError.  A radicand is
+reduced to its squarefree part by trial division, so radicands above
+MAX_RADICAND (10^12, at most 10^6 divisions) are refused: PreconditionError
+from sqrt and ExactReal, ParseError from parse_scalar.  The comparison
+operators order INF, ints, Fractions and ExactReals with one another.
 """
 
 from __future__ import annotations
@@ -22,11 +26,7 @@ __all__ = [
     "ExactReal",
     "INF",
     "PlusInfinity",
-    "LT",
-    "EQ",
-    "GT",
     "as_exact",
-    "compare",
     "ceil_mul",
     "ceil_of",
     "floor_of",
@@ -35,11 +35,13 @@ __all__ = [
     "sqrt",
 ]
 
-LT, EQ, GT = -1, 0, 1
+MAX_RADICAND = 10**12
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
     """Return (s, d0) with d == s*s*d0 and d0 squarefree."""
+    if d > MAX_RADICAND:
+        raise PreconditionError("radicand exceeds 10^12")
     s, d0 = 1, d
     k = 2
     while k * k <= d0:
@@ -99,18 +101,6 @@ class ExactReal:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ExactReal is immutable")
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_fraction(cls, x: Union[int, Fraction]) -> "ExactReal":
-        if isinstance(x, int):
-            return cls(x)
-        return cls(x.numerator, 0, 0, x.denominator)
-
-    @classmethod
-    def rational(cls, num: int, den: int = 1) -> "ExactReal":
-        return cls(num, 0, 0, den)
-
     # -- predicates ---------------------------------------------------
 
     @property
@@ -128,11 +118,6 @@ class ExactReal:
         if self.q != 0:
             raise PreconditionError("surd has no rational value")
         return Fraction(self.p, self.r)
-
-    def as_int(self) -> int:
-        if not self.is_integer:
-            raise PreconditionError("value is not an integer")
-        return self.p
 
     # -- arithmetic ---------------------------------------------------
 
@@ -214,7 +199,7 @@ class ExactReal:
             return 1
         if p <= 0 and q < 0:
             return -1
-        # opposite signs: compare p^2 with q^2 d
+        # opposite signs: p^2 against q^2 d decides
         lhs, rhs = p * p, q * q * self.d
         if lhs == rhs:
             return 0  # impossible for squarefree d >= 2, kept for safety
@@ -282,13 +267,6 @@ class ExactReal:
 
     def ceil(self) -> int:
         return -((-self).floor())
-
-    def __float__(self) -> float:
-        # convenience only; never used in library decisions
-        val = self.p / self.r
-        if self.q:
-            val += self.q * math.sqrt(self.d) / self.r
-        return val
 
     def __repr__(self):
         return "ExactReal(%r)" % format_scalar(self)
@@ -375,17 +353,6 @@ def as_exact(x: Scalar) -> ExactReal:
     raise PreconditionError("not an exact scalar: %r" % (x,))
 
 
-def compare(a: ScalarOrInf, b: ScalarOrInf) -> int:
-    """Exact three-way comparison; returns LT, EQ or GT."""
-    a_inf = isinstance(a, PlusInfinity)
-    b_inf = isinstance(b, PlusInfinity)
-    if a_inf or b_inf:
-        if a_inf and b_inf:
-            return EQ
-        return GT if a_inf else LT
-    return as_exact(a)._cmp(b)
-
-
 def floor_of(x: Scalar) -> int:
     if isinstance(x, int):
         return x
@@ -455,6 +422,8 @@ def parse_scalar(text: str) -> ScalarOrInf:
             raise ParseError("radicand must be >= 2 in %r" % text)
         if q == 0:
             raise ParseError("zero surd coefficient in %r" % text)
+        if d > MAX_RADICAND:
+            raise ParseError("radicand exceeds 10^12 in %r" % text)
         return ExactReal(p, q, d, r)
     raise ParseError("cannot parse scalar %r" % text)
 

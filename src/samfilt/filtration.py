@@ -115,10 +115,6 @@ class NubarResult:
         self.witness_n = witness_n
         self.truncated = truncated
 
-    @property
-    def is_exact(self):
-        return self.kind == "exact"
-
     def __str__(self):
         if self.kind == "exact":
             return "%s (exact)" % format_scalar(self.value)
@@ -514,11 +510,11 @@ class Table(Filtration):
         # the length check first: the range is then no longer than the input
         if len(data) != horizon or sorted(data) != list(range(1, horizon + 1)):
             raise ConstructionError("levels must cover exactly 1..horizon")
-        n = data[1].n
-        for m, ideal in data.items():
-            if not isinstance(ideal, MonomialIdeal) or ideal.n != n:
+        # level 1 first: every other level is compared with its dimension
+        for m in range(1, horizon + 1):
+            if not isinstance(data[m], MonomialIdeal) or data[m].n != data[1].n:
                 raise ConstructionError("level %d: bad ideal" % m)
-        self.n = n
+        self.n = data[1].n
         self.horizon = horizon
         self._levels = data
         if validate:

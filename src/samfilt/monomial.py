@@ -161,38 +161,14 @@ class MonomialIdeal:
     def __hash__(self):
         return hash((self.n, self.gens))
 
-    def _pure_powers(self) -> dict[int, int]:
-        """{j: b} for each generator x_j^b, in one pass over the generators.
-
-        A minimal generating set holds at most one pure power per variable;
-        the generator 1 of the unit ideal is x_j^0 for every j.
-        """
-        n = self.n
-        found = {}
-        for g in self.gens:
-            zeros = g.count(0)
-            if zeros == n:
-                return dict.fromkeys(range(n), 0)
-            if zeros == n - 1:
-                b = max(g)
-                found[g.index(b)] = b
-        return found
-
     def is_primary(self) -> bool:
-        """True when the ideal contains a pure power of every variable."""
-        return len(self._pure_powers()) == self.n
+        """True when the ideal contains a pure power of every variable.
 
-    def pure_power_bounds(self) -> tuple[int, ...]:
-        """For each variable j the least b with x_j^b in the ideal."""
-        found = self._pure_powers()
-        if len(found) < self.n:
-            raise PreconditionError("ideal misses a pure power of some variable")
-        return tuple(found[j] for j in range(self.n))
-
-    def min_total_degree(self) -> int:
-        if self.is_zero:
-            raise PreconditionError("zero ideal has no generator degree")
-        return min(sum(g) for g in self.gens)
+        A minimal generating set holds at most one pure power x_j^b per
+        variable, so counting them suffices.
+        """
+        pure = sum(1 for g in self.gens if g.count(0) == self.n - 1)
+        return self.is_unit or pure == self.n
 
     def to_json(self) -> dict:
         return {"n": self.n, "gens": [list(g) for g in self.gens]}

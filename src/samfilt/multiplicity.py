@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import _kernels
-from .errors import NotPrimaryError, PreconditionError
+from .errors import DimensionMismatchError, NotPrimaryError, PreconditionError
 from .exactnum import INF, ExactReal, PlusInfinity, as_exact, format_scalar
 from .filtration import DiscreteValued, Filtration
 from .monomial import MonomialIdeal
@@ -151,7 +151,7 @@ def filtration_value(v: MonomialValuation, F: Filtration, n_max: int) -> ValueRe
     if not isinstance(v, MonomialValuation):
         v = MonomialValuation(tuple(v))
     if v.n != F.n:
-        raise PreconditionError("dimension mismatch")
+        raise DimensionMismatchError("dimension mismatch")
     best = None
     best_n = 1
     for n in range(1, n_max + 1):
@@ -218,7 +218,7 @@ def saturation_check(F: Filtration, test_vals, n_max: int) -> SaturationReport:
         raise PreconditionError("need at least one test valuation")
     for v in vals:
         if v.n != F.n:
-            raise PreconditionError("dimension mismatch")
+            raise DimensionMismatchError("dimension mismatch")
     values = []
     for v in vals:
         res = filtration_value(v, F, n_max)

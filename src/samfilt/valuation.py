@@ -1,11 +1,9 @@
-"""Monomial valuations and their valuation ideals.
+"""Monomial valuations.
 
 A monomial valuation is given by a strictly positive integer weight vector
 w; it sends a monomial x^e to w.e and a polynomial to the minimum over its
-support.  The valuation ideal at threshold T is the monomial ideal of all
-exponents with w.e >= T; thresholds may be any positive exact scalar and
-are resolved through exact ceilings.  Intersections of valuation ideals
-are system_level, defined with the monomial ideals and re-exported here.
+support.  Its valuation ideals {e : w.e >= T}, and their intersections, are
+system_level, defined with the monomial ideals and re-exported here.
 """
 
 from __future__ import annotations
@@ -39,10 +37,6 @@ class MonomialValuation:
     def n(self) -> int:
         return len(self.w)
 
-    @property
-    def is_primitive(self) -> bool:
-        return math.gcd(*self.w) == 1 if len(self.w) > 1 else self.w[0] == 1
-
     def value_exponent(self, e: Sequence[int]) -> int:
         if len(e) != self.n:
             raise DimensionMismatchError("dimension mismatch")
@@ -63,10 +57,6 @@ class MonomialValuation:
         if ideal.is_zero:
             return INF
         return min(self.value_exponent(g) for g in ideal.gens)
-
-    def valuation_ideal(self, threshold) -> MonomialIdeal:
-        """All exponents e with w . e >= threshold."""
-        return system_level(self.n, [(self.w, threshold, False)])
 
     def to_json(self) -> dict:
         return {"w": list(self.w)}

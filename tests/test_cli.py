@@ -614,6 +614,18 @@ class TestErrorHandling:
         rc, _, err = run("twist", "-f", files["dv"], "--alpha", "1.5")
         assert rc == 2 and "parse error" in err
 
+    @pytest.mark.parametrize("d", [10**20 + 39, 10**44 + 7], ids=["21-digit", "45-digit"])
+    def test_large_radicand_exit_2(self, run, files, tmp_path, d):
+        # refused before the radicand is factored, which would take hours
+        scalar = "(0+1*sqrt(%d))/1" % d
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"type": "dv", "pairs": [{"w": [1, 2], "a": scalar}]}))
+        for argv in (("nubar", "-f", str(path), "--monomial", "1,1"),
+                     ("twist", "-f", files["dv"], "--alpha", scalar, "--m-max", "2")):
+            rc, out, err = run(*argv)
+            assert (rc, out) == (2, "")
+            assert len(err.splitlines()) == 1 and "radicand exceeds 10^12" in err
+
     @pytest.mark.parametrize(
         "doc",
         [

@@ -152,7 +152,7 @@ class TestMakeIrredundant:
 
     def test_to_filtration_levels(self):
         rep = make_irredundant([P((1, 2), 1), P((2, 1), 1)])
-        F = rep.to_filtration()
+        F = DiscreteValued(rep.pairs)
         assert F.level(2).gens == ((0, 2), (1, 1), (2, 0))
 
     def test_str(self):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import samfilt
+import samfilt.exactnum
 from samfilt import (
     INF,
     ExactReal,
@@ -13,7 +15,6 @@ from samfilt import (
     PlusInfinity,
     as_exact,
     ceil_of,
-    compare,
     floor_of,
     format_scalar,
     parse_scalar,
@@ -31,7 +32,7 @@ class TestConstruction:
     def test_integer(self):
         x = ER(7)
         assert x.is_rational and x.is_integer
-        assert x.as_int() == 7
+        assert x == 7
 
     def test_fraction_normalization(self):
         x = ER(6, 0, 0, 4)
@@ -40,7 +41,7 @@ class TestConstruction:
     def test_square_radicand_collapses(self):
         # sqrt(9) = 3 must normalize to a rational
         x = sqrt(9)
-        assert x.is_rational and x.as_int() == 3
+        assert x.is_integer and x == 3
 
     def test_square_factor_extracted(self):
         # sqrt(8) = 2*sqrt(2)
@@ -57,7 +58,18 @@ class TestConstruction:
             ER(0, 1, -2, 1)
 
     def test_from_fraction(self):
-        assert ExactReal.from_fraction(Fraction(-5, 10)) == ER(-1, 0, 0, 2)
+        assert as_exact(Fraction(-5, 10)) == ER(-1, 0, 0, 2)
+
+    def test_large_radicand_rejected(self):
+        # trial division up to sqrt(d) would run for hours on these
+        with pytest.raises(PreconditionError):
+            sqrt(10**20 + 39)
+        with pytest.raises(PreconditionError):
+            ER(1, 1, 10**45 + 7, 2)
+        with pytest.raises(ParseError):
+            parse_scalar("(0+1*sqrt(100000000000000000039))/1")
+        assert sqrt(10**12) == 10**6
+        assert parse_scalar("(0+1*sqrt(%d))/1" % 10**12) == 10**6
 
     def test_as_exact_passthrough(self):
         assert as_exact(3) == ER(3)
@@ -124,15 +136,15 @@ class TestCompare:
         assert lhs < ER(4242641, 0, 0, 1000000)
 
     def test_compare_with_infinity(self):
-        assert compare(INF, INF) == 0
-        assert compare(INF, sqrt(2)) > 0
-        assert compare(-5, INF) < 0
+        assert INF == INF and INF >= INF
+        assert INF > sqrt(2) and sqrt(2) < INF
+        assert -5 < INF and Fraction(7, 2) < INF
 
     def test_total_order_consistency(self):
         vals = [ER(0), sqrt(2), ER(3, 0, 0, 2), ER(-1, 1, 2, 1), ER(2)]
         s = sorted(vals)
         for a, b in zip(s, s[1:]):
-            assert compare(a, b) <= 0
+            assert a <= b and not b < a
 
     def test_eq_hash(self):
         assert hash(ER(1, 0, 0, 2)) == hash(ER(2, 0, 0, 4))
@@ -230,7 +242,7 @@ def test_rational_arithmetic_matches_fraction(a, b):
     assert (ea * eb).as_fraction() == a * b
     if b != 0:
         assert (ea / eb).as_fraction() == a / b
-    assert compare(ea, eb) == (a > b) - (a < b)
+    assert (ea < eb, ea == eb, ea > eb) == (a < b, a == b, a > b)
 
 
 @given(
@@ -259,3 +271,52 @@ def test_float_agrees_with_exact_sign(p, q, d, r):
     approx = (p + q * math.sqrt(d)) / r
     if abs(approx) > 1e-9:
         assert (x.sign() > 0) == (approx > 0)
+
+
+FRACS = st.fractions(min_value=-60, max_value=60, max_denominator=30)
+
+
+def surd(a, b, d):
+    """a + b*sqrt(d) for Fractions a, b."""
+    r = a.denominator * b.denominator
+    return ExactReal(int(a * r), int(b * r), d, r)
+
+
+def model_of(x, d):
+    """(a, b) with x == a + b*sqrt(d)."""
+    assert x.q == 0 or x.d == d
+    return Fraction(x.p, x.r), Fraction(x.q, x.r)
+
+
+def model_sign(a, b, d):
+    """Sign of a + b*sqrt(d), decided by integer square roots only."""
+    r = a.denominator * b.denominator
+    p, q = int(a * r), int(b * r)
+    if q == 0:
+        return (p > 0) - (p < 0)
+    s = math.isqrt(q * q * d)  # s < |q|*sqrt(d) < s + 1, since d is not a square
+    lo, hi = (p + s, p + s + 1) if q > 0 else (p - s - 1, p - s)
+    return 1 if lo >= 0 else -1 if hi <= 0 else None
+
+
+@given(FRACS, FRACS, FRACS, FRACS, st.sampled_from([2, 3, 5, 6, 7, 10]))
+def test_surd_arithmetic_matches_pair_model(a1, b1, a2, b2, d):
+    x, y = surd(a1, b1, d), surd(a2, b2, d)
+    assert model_of(x + y, d) == (a1 + a2, b1 + b2)
+    assert model_of(x - y, d) == (a1 - a2, b1 - b2)
+    assert model_of(x * y, d) == (a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1)
+    norm = a2 * a2 - b2 * b2 * d  # zero only when y is
+    if norm != 0:
+        want = ((a1 * a2 - b1 * b2 * d) / norm, (a2 * b1 - a1 * b2) / norm)
+        assert model_of(x / y, d) == want
+    for (a, b), z in (((a1, b1), x), ((a1 - a2, b1 - b2), x - y)):
+        assert z.sign() == model_sign(a, b, d)
+    assert (x < y) == (model_sign(a1 - a2, b1 - b2, d) < 0)
+
+
+def test_public_names_resolve():
+    # "import *" raises AttributeError on an __all__ entry that does not resolve
+    for mod in (samfilt, samfilt.exactnum):
+        scope = {}
+        exec("from %s import *" % mod.__name__, scope)
+        assert set(mod.__all__) <= set(scope)

@@ -442,6 +442,11 @@ class TestTable:
         with pytest.raises(ConstructionError):
             Table({1: BOX, 2: BOX**2}, 3)
 
+    def test_levels_must_be_ideals(self):
+        for levels in ({1: None}, {1: None, 2: BOX**2}, {1: BOX, 2: None}, {1: BOX, 2: (2, 0)}):
+            with pytest.raises(ConstructionError):
+                Table(levels, len(levels))
+
     def test_chain_violation_rejected(self):
         with pytest.raises(ConstructionError):
             Table({1: BOX, 2: MonomialIdeal(2, [(1, 0)])}, 2)

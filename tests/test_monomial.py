@@ -103,12 +103,6 @@ class TestMonomialIdeal:
         assert not MonomialIdeal(2, [(1, 2)]).is_primary()
         assert not MonomialIdeal.zero(2).is_primary()
 
-    def test_pure_power_bounds(self):
-        assert MonomialIdeal(2, [(2, 0), (0, 3)]).pure_power_bounds() == (2, 3)
-
-    def test_min_total_degree(self):
-        assert MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)]).min_total_degree() == 2
-
     def test_json_round_trip(self):
         I = MonomialIdeal(3, [(1, 0, 2), (0, 3, 0)])
         assert MonomialIdeal.from_json(I.to_json()) == I
@@ -223,11 +217,6 @@ class TestPurePowers:
     def test_match_definition(self, I):
         want = pure_powers_by_membership(I)
         assert I.is_primary() == (None not in want)
-        if None in want:
-            with pytest.raises(PreconditionError):
-                I.pure_power_bounds()
-        else:
-            assert I.pure_power_bounds() == tuple(want)
 
     def test_random_match_definition(self):
         rnd = random.Random(31)
@@ -235,8 +224,6 @@ class TestPurePowers:
             I = random_ideal(rnd, rnd.randint(1, 4), 6)
             want = pure_powers_by_membership(I)
             assert I.is_primary() == (None not in want)
-            if None not in want:
-                assert I.pure_power_bounds() == tuple(want)
 
 
 class TestSupportPoly:
@@ -352,7 +339,7 @@ class TestNpValue:
         I = MonomialIdeal(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
         assert np_value(I, (1, 1, 1)).as_fraction() == Fraction(3, 2)
         M = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert np_value(M, (2, 3, 4)).as_int() == 9
+        assert np_value(M, (2, 3, 4)) == 9
 
     def test_random_matches_lp_oracle(self):
         rnd = random.Random(41)

@@ -7,6 +7,7 @@ import pytest
 from samfilt import (
     INF,
     Adic,
+    DimensionMismatchError,
     DiscreteValued,
     ExactReal,
     HorizonExceededError,
@@ -430,8 +431,10 @@ class TestFiltrationValue:
             filtration_value(MonomialValuation((1, 1)), DV(((1, 1), 1)), 0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionMismatchError):
             filtration_value(MonomialValuation((1, 1, 1)), DV(((1, 1), 1)), 3)
+        with pytest.raises(DimensionMismatchError):
+            saturation_check(DV(((1, 1), 1)), [(1, 1, 1)], 3)
 
 
 class TestSaturationCheck:

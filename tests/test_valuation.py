@@ -43,21 +43,19 @@ class TestMonomialValuation:
         assert v.value_of_ideal(MonomialIdeal.unit(2)) == 0
 
     def test_valuation_ideal(self):
-        v = MonomialValuation((3, 2))
-        assert v.valuation_ideal(6).gens == ((2, 0), (0, 3), (1, 2))
+        # the valuation ideal {3x + 2y >= 6} is one row of system_level
+        assert system_level(2, [((3, 2), 6, False)]).gens == ((2, 0), (0, 3), (1, 2))
 
     def test_valuation_ideal_nonintegral_threshold(self):
-        v = MonomialValuation((1, 1))
         # w.e >= 3/2 means w.e >= 2
-        assert v.valuation_ideal(Fraction(3, 2)).gens == ((0, 2), (1, 1), (2, 0))
+        assert system_level(2, [((1, 1), Fraction(3, 2), False)]).gens == ((0, 2), (1, 1), (2, 0))
 
     def test_valuation_ideal_members(self):
         rnd = random.Random(15)
         for _ in range(30):
             w = tuple(rnd.randint(1, 5) for _ in range(2))
-            v = MonomialValuation(w)
             t = Fraction(rnd.randint(1, 20), rnd.randint(1, 3))
-            L = v.valuation_ideal(t)
+            L = system_level(2, [(w, t, False)])
             for e in itertools.product(range(9), repeat=2):
                 want = sum(a * b for a, b in zip(w, e)) >= t
                 assert L.contains_exponent(e) == want, (w, t, e)
@@ -71,8 +69,9 @@ class TestMonomialValuation:
             MonomialValuation(())
 
     def test_is_primitive(self):
-        assert MonomialValuation((3, 2)).is_primitive
-        assert not MonomialValuation((2, 4)).is_primitive
+        v = MonomialValuation((3, 2))
+        assert primitive_pair(v, 1) == (v, 1)
+        assert primitive_pair(MonomialValuation((2, 4)), 1)[0] != MonomialValuation((2, 4))
 
     def test_json_round_trip(self):
         v = MonomialValuation((5, 1, 2))
@@ -111,11 +110,6 @@ class TestPrimitivePair:
 
 
 class TestSystemLevel:
-    def test_single_constraint_matches_valuation_ideal(self):
-        v = MonomialValuation((3, 2))
-        got = system_level(2, [((3, 2), 6, False)])
-        assert got == v.valuation_ideal(6)
-
     def test_multiple_constraints(self):
         got = system_level(2, [((1, 2), 3, False), ((2, 1), 3, False)])
         members = []
