@@ -7,6 +7,11 @@ reduce_antichain costs, for k distinct points in dimension n: one sort
 plus a linear scan for n = 1 and n = 2; a sweep of O(k log k) comparisons
 for n = 3 (Kung, Luccio & Preparata 1975); and a scan comparing each
 point with every kept one, quadratic in the worst case, for n >= 4.
+Where the order is known, callers skip it: a 2-d product of ideals with
+m and k generators merges the k shifted staircases (one sort of k*m
+points that form k sorted runs, O(k*m log k)) and scans them once; the
+colength in n >= 3 variables reduces one slab per distinct generator
+height of the last coordinate, not one per height below its pure power.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ def reduce_antichain(points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]
             if out and out[-1][1] <= p[1]:
                 continue
             out.append(p)
-        out.sort(key=lambda p: (sum(p), p))
+        out.sort(key=sum)  # stable: ties keep their lex order
         return out
     if n == 3:
         # sweep in (z, x, y) order, so every point that dominates p comes

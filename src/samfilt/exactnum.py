@@ -9,8 +9,10 @@ Arithmetic is closed within a single quadratic extension Q(sqrt(d)).
 Combining two distinct radicals raises MixedRadicalError.  A radicand is
 reduced to its squarefree part by trial division, so radicands above
 MAX_RADICAND (10^12, at most 10^6 divisions) are refused: PreconditionError
-from sqrt and ExactReal, ParseError from parse_scalar.  The comparison
-operators order INF, ints, Fractions and ExactReals with one another.
+from sqrt and ExactReal, ParseError from parse_scalar, which also refuses
+integers of more than MAX_DIGITS digits (int()'s default limit).  The
+comparison operators order INF, ints, Fractions and ExactReals with one
+another.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 MAX_RADICAND = 10**12
+MAX_DIGITS = 4300
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
@@ -395,6 +398,7 @@ _RAT_RE = re.compile(r"^([+-]?\d+)\s*/\s*(\d+)$")
 _SURD_RE = re.compile(
     r"^\(\s*([+-]?\d+)\s*([+-])\s*(\d+)\s*\*\s*sqrt\(\s*(\d+)\s*\)\s*\)\s*/\s*(\d+)$"
 )
+_DIGITS_RE = re.compile(r"\d+")
 
 
 def parse_scalar(text: str) -> ScalarOrInf:
@@ -402,6 +406,10 @@ def parse_scalar(text: str) -> ScalarOrInf:
     s = text.strip()
     if s == "inf":
         return INF
+    if len(s) > MAX_DIGITS and max(map(len, _DIGITS_RE.findall(s)), default=0) > MAX_DIGITS:
+        raise ParseError(
+            "scalar %r... has an integer of more than %d digits" % (s[:20], MAX_DIGITS)
+        )
     if _INT_RE.match(s):
         return ExactReal(int(s))
     m = _RAT_RE.match(s)

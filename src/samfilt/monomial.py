@@ -60,7 +60,9 @@ class MonomialIdeal:
     from_json, unit and zero reject anything but n nonnegative integers.
     _trusted skips that check and is only for exponents the library built
     itself from validated ones (sums, componentwise maxima, solutions of
-    validated inequalities).
+    validated inequalities).  _minimal also skips the antichain
+    reduction: it takes generators already known to be minimal, in lex
+    order (2-D products and 2-D staircases).
     """
 
     __slots__ = ("n", "gens", "_facets")  # _facets: see newton_facets
@@ -78,6 +80,16 @@ class MonomialIdeal:
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", tuple(_kernels.reduce_antichain(gens)))
+        return self
+
+    @classmethod
+    def _minimal(cls, n: int, gens: list[Exponent]) -> "MonomialIdeal":
+        """The ideal minimally generated by gens, a lex-sorted antichain;
+        a stable sort by degree gives the (degree, lex) order."""
+        gens.sort(key=sum)
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gens", tuple(gens))
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -118,6 +130,15 @@ class MonomialIdeal:
             raise DimensionMismatchError("dimension mismatch")
         if self.is_zero or other.is_zero:
             return MonomialIdeal.zero(self.n)
+        if self.n == 2:
+            # the shifts h + I are lex-sorted runs, which sorted merges; in
+            # lex order a point is minimal iff its y is below the last kept
+            base = sorted(self.gens)
+            out: list[Exponent] = []
+            for p in sorted([(a + h0, b + h1) for h0, h1 in other.gens for a, b in base]):
+                if not out or p[1] < out[-1][1]:
+                    out.append(p)
+            return MonomialIdeal._minimal(2, out)
         sums = [
             tuple(a + b for a, b in zip(g, h))
             for g in self.gens
@@ -492,12 +513,15 @@ def system_level(
             rows.append((w, c))
     if not rows:
         return MonomialIdeal.unit(n)
+    if n <= 2:
+        return MonomialIdeal._minimal(n, _minimal_rows(n, rows))
     return MonomialIdeal._trusted(n, _minimal_rows(n, rows))
 
 
 def _minimal_rows(n: int, rows: list[tuple[tuple[int, ...], int]]) -> list[Exponent]:
     """Integer solutions of w . e >= c for all rows (w >= 0, c > 0), among
-    them all minimal ones; the MonomialIdeal constructor drops the rest."""
+    them all minimal ones; the MonomialIdeal constructor drops the rest.
+    For n <= 2 they are exactly the minimal ones, in lex order."""
     if any(not any(w) for w, _ in rows):
         return []
     if n == 1:
@@ -506,7 +530,7 @@ def _minimal_rows(n: int, rows: list[tuple[tuple[int, ...], int]]) -> list[Expon
         xmin = max([-(-c // w[0]) for w, c in rows if not w[1]], default=0)
         ymin = max([-(-c // w[1]) for w, c in rows if not w[0]], default=0)
         both = [(w[0], w[1], c) for w, c in rows if w[0] and w[1]]
-        return [tuple(g) for g in _kernels.staircase_gens_2d(both, xmin, ymin)]
+        return _kernels.staircase_gens_2d(both, xmin, ymin)[::-1]
     # peel off the last coordinate; rows without it pass down unchanged
     top = max([-(-c // w[-1]) for w, c in rows if w[-1]], default=0)
     pts: list[Exponent] = []

@@ -46,11 +46,17 @@ def _colength_rec(n, gens) -> int:
         return min(g[0] for g in gens)
     if n == 2:
         return _kernels.colength_2d(list(gens))
-    top = min(g[-1] for g in gens if all(c == 0 for c in g[:-1]))
+    # the slab {e : (e, t) in I} changes only at generator heights t, from
+    # 0 up to the pure power's, where it becomes the unit ideal
+    groups: dict[int, list] = {}
+    for g in gens:
+        groups.setdefault(g[-1], []).append(g[:-1])
+    heights = sorted(groups)
     total = 0
-    for t in range(top):
-        slab = [g[:-1] for g in gens if g[-1] <= t]
-        total += _colength_rec(n - 1, _kernels.reduce_antichain(slab))
+    slab: list = []
+    for t, nxt in zip(heights, heights[1:]):
+        slab = _kernels.reduce_antichain(slab + groups[t])
+        total += (nxt - t) * _colength_rec(n - 1, slab)
     return total
 
 
@@ -103,9 +109,10 @@ def multiplicity_estimate(F: Filtration, n_max: int):
     samples = []
     for n in _sample_points(n_max):
         level = F.level(n)
-        if not level.is_primary():
-            raise NotPrimaryError("level %d is not primary: %s" % (n, level))
-        samples.append((n, colength(level)))
+        try:
+            samples.append((n, colength(level)))
+        except NotPrimaryError as exc:
+            raise NotPrimaryError("level %d is not primary: %s" % (n, level)) from exc
     est = Fraction(samples[-1][1] * factorial(d), n_max**d)
     return est, LengthSeries(d=d, samples=samples)
 

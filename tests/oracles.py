@@ -34,6 +34,13 @@ forms (the library's make_irredundant), compared pair by pair.
 adic_order_dp is the order Adic.order computed before it searched the
 Briancon-Skoda window: a dynamic program over every exponent reachable
 by stripping generators.
+product_by_antichain is the product MonomialIdeal formed in every
+dimension before 2-D products merged shifted staircases: all pairwise
+sums, reduced by the library's antichain kernel.
+colength_by_slabs is the colength the library counted before it swept
+the last coordinate once per generator height: the slab at every height
+below the pure power, reduced again from all the generators, with the
+library's 2-D kernels at the bottom.
 """
 
 import itertools
@@ -57,6 +64,7 @@ from samfilt import (
 from samfilt.equivalence import valuation_pairs
 from samfilt.exactnum import as_exact
 
+from samfilt import _kernels
 from samfilt._linprog import OPTIMAL, lp_min, simplex_max, strict_cone_margin
 
 
@@ -199,6 +207,30 @@ def brute_colength(gens):
         if not in_monomial_ideal(e, gens):
             count += 1
     return count
+
+
+def product_by_antichain(I, J):
+    """I * J from every pairwise sum of generators."""
+    if I.is_zero or J.is_zero:
+        return MonomialIdeal.zero(I.n)
+    sums = [tuple(a + b for a, b in zip(g, h)) for g in I.gens for h in J.gens]
+    return MonomialIdeal._trusted(I.n, sums)
+
+
+def colength_by_slabs(gens):
+    """Colength of a primary ideal from its minimal generators, one slab
+    {e : (e, t) in I} per height t of the last coordinate."""
+    n = len(gens[0])
+    if n == 1:
+        return min(g[0] for g in gens)
+    if n == 2:
+        return _kernels.colength_2d(list(gens))
+    top = min(g[-1] for g in gens if all(c == 0 for c in g[:-1]))
+    total = 0
+    for t in range(top):
+        slab = [g[:-1] for g in gens if g[-1] <= t]
+        total += colength_by_slabs(_kernels.reduce_antichain(slab))
+    return total
 
 
 def staircase_by_each_y(rows, xmin=0, ymin=0):

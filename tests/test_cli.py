@@ -626,6 +626,14 @@ class TestErrorHandling:
             assert (rc, out) == (2, "")
             assert len(err.splitlines()) == 1 and "radicand exceeds 10^12" in err
 
+    def test_long_scalar_exit_2(self, run, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"type": "dv", "pairs": [{"w": [1, 2], "a": "1" + "0" * 5000}]}))
+        rc, out, err = run("nubar", "-f", str(path), "--monomial", "1,1")
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "set_int_max_str_digits" not in err
+        assert "has an integer of more than 4300 digits" in err
+
     @pytest.mark.parametrize(
         "doc",
         [

@@ -71,6 +71,18 @@ class TestConstruction:
         assert sqrt(10**12) == 10**6
         assert parse_scalar("(0+1*sqrt(%d))/1" % 10**12) == 10**6
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1" + "0" * 5000, "-1/" + "7" * 4301, "(1+1*sqrt(2))/" + "3" * 4301],
+        ids=["integer", "denominator", "surd-denominator"],
+    )
+    def test_long_integer_rejected(self, text):
+        # refused before int(), whose own error names an interpreter setting
+        with pytest.raises(ParseError) as info:
+            parse_scalar(text)
+        assert str(info.value) == "scalar %r... has an integer of more than 4300 digits" % text[:20]
+        assert parse_scalar("9" * 4300) == 10**4300 - 1
+
     def test_as_exact_passthrough(self):
         assert as_exact(3) == ER(3)
         assert as_exact(Fraction(1, 3)) == ER(1, 0, 0, 3)

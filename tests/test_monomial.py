@@ -21,6 +21,7 @@ from samfilt import (
     sqrt,
     system_level,
 )
+from samfilt import _kernels
 
 from oracles import (
     adic_order,
@@ -29,6 +30,7 @@ from oracles import (
     minimal_points,
     np_value_lp,
     power_gens,
+    product_by_antichain,
 )
 
 
@@ -123,6 +125,51 @@ class TestMonomialIdeal:
             m = rnd.randint(1, 3)
             want = minimal_points(power_gens(gens, m))
             assert sorted((I**m).gens) == want
+
+
+class TestProductByMerge:
+    """2-D products merge shifted staircases; every other product, and the
+    oracle, reduces all pairwise sums."""
+
+    SPECIAL = [
+        MonomialIdeal.unit(2),
+        MonomialIdeal.zero(2),
+        MonomialIdeal(2, [(3, 1)]),
+        MonomialIdeal(2, [(2, 0), (1, 1)]),
+    ]
+
+    def test_2d_products_match_antichain_oracle(self):
+        rnd = random.Random(97)
+        for _ in range(3000):
+            I, J = (
+                rnd.choice(self.SPECIAL) if rnd.random() < 0.2 else random_ideal(rnd, 2, 9)
+                for _ in range(2)
+            )
+            assert (I * J).gens == product_by_antichain(I, J).gens, (I, J)
+
+    def test_2d_system_level_is_its_reduced_staircase(self):
+        rnd = random.Random(101)
+        for _ in range(500):
+            rows = [
+                (
+                    (rnd.randint(0, 4), rnd.randint(0, 4)),
+                    Fraction(rnd.randint(0, 24), rnd.randint(1, 3)),
+                    rnd.random() < 0.5,
+                )
+                for _ in range(rnd.randint(1, 4))
+            ]
+            got = system_level(2, rows)
+            assert got.gens == tuple(_kernels.reduce_antichain(got.gens)), rows
+            box = range(max(math.ceil(c) for _, c, _ in rows) + 2)
+            members = [
+                e
+                for e in itertools.product(box, repeat=2)
+                if all(
+                    (operator.gt if strict else operator.ge)(sum(map(operator.mul, w, e)), c)
+                    for w, c, strict in rows
+                )
+            ]
+            assert got == MonomialIdeal(2, members), rows
 
 
 def revalidated(I):

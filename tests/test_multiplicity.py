@@ -36,6 +36,7 @@ from samfilt.valuation import MonomialValuation
 
 from oracles import (
     brute_colength,
+    colength_by_slabs,
     dv_level_members,
     dv_multiplicity_ie,
     dv_value_limit_lp,
@@ -94,6 +95,16 @@ class TestColength:
             ]
             I = MonomialIdeal(2, gens)
             assert colength(I) == brute_colength(gens), gens
+
+    def test_sweep_matches_slab_oracle(self):
+        # one slab per generator height against one slab per height
+        rnd = random.Random(227)
+        for _ in range(3000):
+            n = rnd.choice((3, 4))
+            gens = [tuple(rnd.randint(1, 6) if k == j else 0 for k in range(n)) for j in range(n)]
+            gens += [tuple(rnd.randint(0, 6) for _ in range(n)) for _ in range(rnd.randint(0, 6))]
+            I = MonomialIdeal(n, gens)
+            assert colength(I) == colength_by_slabs(I.gens), gens
 
     def test_random_vs_brute_3d(self):
         rnd = random.Random(223)
@@ -318,8 +329,10 @@ class TestMultiplicityEstimate:
             multiplicity_estimate(DV(((1, 1), 1)), 0)
 
     def test_non_primary_level(self):
-        with pytest.raises(NotPrimaryError):
-            multiplicity_estimate(Adic(MonomialIdeal(2, [(1, 1)])), 3)
+        for gens, text in [([(1, 1)], "(x*y)"), ([(2, 0), (1, 1)], "(x*y, x^2)")]:
+            with pytest.raises(NotPrimaryError) as info:
+                multiplicity_estimate(Adic(MonomialIdeal(2, gens)), 3)
+            assert str(info.value) == "level 1 is not primary: " + text
 
 
 class TestFiltrationValue:
