@@ -10,6 +10,7 @@ from .errors import (
     ConstructionError,
     DimensionMismatchError,
     HorizonExceededError,
+    LimitError,
     MixedRadicalError,
     NotPrimaryError,
     ParseError,
@@ -96,6 +97,7 @@ __all__ = [
     "INF",
     "IrredundantRep",
     "LengthSeries",
+    "LimitError",
     "MixedRadicalError",
     "MonomialIdeal",
     "MonomialValuation",

@@ -12,6 +12,8 @@ m and k generators merges the k shifted staircases (one sort of k*m
 points that form k sorted runs, O(k*m log k)) and scans them once; the
 colength in n >= 3 variables reduces one slab per distinct generator
 height of the last coordinate, not one per height below its pure power.
+The 2-d staircase of k rows costs O(k^2 + output), one interval of y per
+row on the upper envelope of the rows' lines.
 """
 
 from __future__ import annotations
@@ -139,38 +141,46 @@ def staircase_gens_2d(
 ) -> list[tuple[int, int]]:
     """Minimal generators of {e : e1 >= xmin, e2 >= ymin, w1*e1 + w2*e2 >= c}.
 
-    Each row is (w1, w2, c) with w1, w2 >= 1.  The least x allowed at y
-    falls as y grows; the generators are the ys where it drops.  The scan
-    steps y by one, and once x has stayed flat for two steps it jumps to
-    the least y at which every row allows one less, so its cost follows
-    the output size, not the largest y.  (Jumping after one flat step
-    would cost a pass per step on staircases that drop every other y.)
+    Each row is (w1, w2, c) with w1, w2 >= 1; the generators come in
+    ascending y.  The least x allowed at y is the ceiling of the upper
+    envelope max_r (c_r - w2_r*y)/w1_r, so one row sets it on each
+    interval of y, the steepest rows first.  On its interval a row with
+    w2 >= w1 drops x at every y, and one with w2 < w1 passes through every
+    x between the interval's ends, so each interval is one comprehension
+    and the cost is O(k^2 + output), not the largest y.
     """
+    y_end = ymin  # the least y >= ymin that every row allows at xmin
+    for w1, w2, c in rows:
+        rem = c - w1 * xmin
+        if rem > 0:
+            yl = -(-rem // w2)
+            if yl > y_end:
+                y_end = yl
     out: list[tuple[int, int]] = []
-    prev_x = None
-    y = last = ymin
-    while True:
-        x = xmin
-        for w1, w2, c in rows:
-            rem = c - w2 * y
-            if rem > 0:
-                need = (rem + w1 - 1) // w1
-                if need > x:
-                    x = need
-        if x != prev_x:
-            out.append((x, y))
-            if x == xmin:
-                return out
-            prev_x = x
-            last = y
-            y += 1
-        elif y - last < 2:
-            y += 1
+    y = ymin
+    while y < y_end:
+        # the row with the largest (c - w2*y)/w1.  Its interval ends where
+        # a flatter row first strictly overtakes it, so one that ties at y
+        # takes over at y + 1, with the same x at y either way.
+        w1, w2, c = rows[0]
+        for r1, r2, rc in rows:
+            if (rc - r2 * y) * w1 > (c - w2 * y) * r1:
+                w1, w2, c = r1, r2, rc
+        end = y_end
+        for r1, r2, rc in rows:
+            den = w2 * r1 - r2 * w1
+            if den > 0:
+                t = (c * r1 - rc * w1) // den + 1
+                if t < end:
+                    end = t
+        if w2 >= w1:  # x drops at every y, also from the last interval
+            out += [(-((w2 * t - c) // w1), t) for t in range(y, end)]
         else:
-            t = x - 1  # >= xmin, or the scan would have stopped
-            for w1, w2, c in rows:
-                rem = c - w1 * t
-                if rem > 0:
-                    yl = (rem + w2 - 1) // w2
-                    if yl > y:
-                        y = yl
+            x0 = -((w2 * y - c) // w1)
+            if not out or x0 < out[-1][0]:
+                out.append((x0, y))
+            x1 = -((w2 * (end - 1) - c) // w1)
+            out += [(u, -((w1 * u - c) // w2)) for u in range(x0 - 1, x1 - 1, -1)]
+        y = end
+    out.append((xmin, y_end))
+    return out

@@ -27,7 +27,7 @@ from .equivalence import (
     valuation_pairs,
 )
 from .errors import (
-    HorizonExceededError,
+    LimitError,
     MixedRadicalError,
     NotPrimaryError,
     ParseError,
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
-    except HorizonExceededError as exc:
+    except LimitError as exc:
         print("limit reached: %s" % exc, file=sys.stderr)
         return 4
     except RecursionError:  # deeply nested input: json parsing or twist chains

@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
 The CLI maps these onto exit codes: ParseError -> 2, PreconditionError and
-subclasses -> 3, HorizonExceededError / unanswered internal limits -> 4.
+subclasses -> 3, LimitError and its subclass HorizonExceededError -> 4.
 """
 
 
@@ -33,7 +33,11 @@ class ConstructionError(PreconditionError):
     """Explicit level data violates the filtration axioms."""
 
 
-class HorizonExceededError(SamfiltError):
+class LimitError(SamfiltError):
+    """An answer exists but exceeds an internal limit."""
+
+
+class HorizonExceededError(LimitError):
     """A table filtration was evaluated beyond its stored horizon."""
 
 

@@ -10,9 +10,9 @@ Combining two distinct radicals raises MixedRadicalError.  A radicand is
 reduced to its squarefree part by trial division, so radicands above
 MAX_RADICAND (10^12, at most 10^6 divisions) are refused: PreconditionError
 from sqrt and ExactReal, ParseError from parse_scalar, which also refuses
-integers of more than MAX_DIGITS digits (int()'s default limit).  The
-comparison operators order INF, ints, Fractions and ExactReals with one
-another.
+integers of more than MAX_DIGITS digits (int()'s default limit);
+format_scalar raises LimitError rather than write one.  The comparison
+operators order INF, ints, Fractions and ExactReals with one another.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .errors import MixedRadicalError, ParseError, PreconditionError
+from .errors import LimitError, MixedRadicalError, ParseError, PreconditionError
 
 __all__ = [
     "ExactReal",
@@ -39,6 +39,7 @@ __all__ = [
 
 MAX_RADICAND = 10**12
 MAX_DIGITS = 4300
+_DIGIT_CAP = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
@@ -401,6 +402,11 @@ _SURD_RE = re.compile(
 _DIGITS_RE = re.compile(r"\d+")
 
 
+def _quoted(text: str) -> str:
+    """The first 20 characters of an input, quoted, for an error message."""
+    return "%r..." % text[:20] if len(text) > 20 else repr(text)
+
+
 def parse_scalar(text: str) -> ScalarOrInf:
     """Parse 'p', 'p/q', '(p+q*sqrt(d))/r' or 'inf'."""
     s = text.strip()
@@ -408,7 +414,7 @@ def parse_scalar(text: str) -> ScalarOrInf:
         return INF
     if len(s) > MAX_DIGITS and max(map(len, _DIGITS_RE.findall(s)), default=0) > MAX_DIGITS:
         raise ParseError(
-            "scalar %r... has an integer of more than %d digits" % (s[:20], MAX_DIGITS)
+            "scalar %s has an integer of more than %d digits" % (_quoted(s), MAX_DIGITS)
         )
     if _INT_RE.match(s):
         return ExactReal(int(s))
@@ -416,7 +422,7 @@ def parse_scalar(text: str) -> ScalarOrInf:
     if m:
         num, den = int(m.group(1)), int(m.group(2))
         if den == 0:
-            raise ParseError("zero denominator in %r" % text)
+            raise ParseError("zero denominator in %s" % _quoted(text))
         return ExactReal(num, 0, 0, den)
     m = _SURD_RE.match(s)
     if m:
@@ -425,15 +431,15 @@ def parse_scalar(text: str) -> ScalarOrInf:
         d = int(m.group(4))
         r = int(m.group(5))
         if r == 0:
-            raise ParseError("zero denominator in %r" % text)
+            raise ParseError("zero denominator in %s" % _quoted(text))
         if d < 2:
-            raise ParseError("radicand must be >= 2 in %r" % text)
+            raise ParseError("radicand must be >= 2 in %s" % _quoted(text))
         if q == 0:
-            raise ParseError("zero surd coefficient in %r" % text)
+            raise ParseError("zero surd coefficient in %s" % _quoted(text))
         if d > MAX_RADICAND:
-            raise ParseError("radicand exceeds 10^12 in %r" % text)
+            raise ParseError("radicand exceeds 10^12 in %s" % _quoted(text))
         return ExactReal(p, q, d, r)
-    raise ParseError("cannot parse scalar %r" % text)
+    raise ParseError("cannot parse scalar %s" % _quoted(text))
 
 
 def format_scalar(x: ScalarOrInf) -> str:
@@ -441,6 +447,10 @@ def format_scalar(x: ScalarOrInf) -> str:
     if isinstance(x, PlusInfinity):
         return "inf"
     x = as_exact(x)
+    if max(abs(x.p), abs(x.q), x.r) >= _DIGIT_CAP:
+        raise LimitError(
+            "cannot write a scalar with an integer of more than %d digits" % MAX_DIGITS
+        )
     if x.q == 0:
         return "%d/%d" % (x.p, x.r)
     sign = "+" if x.q > 0 else "-"

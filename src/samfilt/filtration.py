@@ -242,11 +242,17 @@ class Adic(Filtration):
         self.n = ideal.n
 
     def _level(self, m: int) -> MonomialIdeal:
-        """I^m, multiplied up from the nearest cached power below m; every
-        power passed on the way is cached too."""
+        """I^m from the nearest cached power I^k below m.  If the gap
+        I^(m-k) is cached too, as in a sweep that samples every g-th level
+        after every level up to g, one product I^k * I^(m-k) answers and
+        the levels in between are never built.  Otherwise I^m is
+        multiplied up one factor at a time, caching every power on the
+        way."""
         k = m
         while k > 0 and k not in self._cache:
             k -= 1
+        if m - k in self._cache:
+            return self._cache[k] * self._cache[m - k]
         ideal = self._cache[k] if k else MonomialIdeal.unit(self.n)
         for j in range(k + 1, m + 1):
             ideal = self._cache[j] = ideal * self.ideal

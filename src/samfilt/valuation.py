@@ -9,6 +9,7 @@ system_level, defined with the monomial ideals and re-exported here.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 from .errors import DimensionMismatchError, ParseError, PreconditionError
@@ -56,7 +57,8 @@ class MonomialValuation:
             raise DimensionMismatchError("dimension mismatch")
         if ideal.is_zero:
             return INF
-        return min(self.value_exponent(g) for g in ideal.gens)
+        w = self.w
+        return min([sum(map(operator.mul, w, g)) for g in ideal.gens])
 
     def to_json(self) -> dict:
         return {"w": list(self.w)}

@@ -634,6 +634,25 @@ class TestErrorHandling:
         assert len(err.splitlines()) == 1 and "set_int_max_str_digits" not in err
         assert "has an integer of more than 4300 digits" in err
 
+    def test_long_result_exit_4(self, run, tmp_path):
+        # each scale is 1/(4000 digits), so the exact multiplicity has
+        # integers of about 8000 digits, which int() will not print
+        path = tmp_path / "long_mult.json"
+        path.write_text(json.dumps({"type": "dv", "pairs": [
+            {"w": [1, 2], "a": "1/" + "7" * 4000}, {"w": [2, 1], "a": "1/" + "3" * 4000}]}))
+        for json_flag in ((), ("--json",)):
+            rc, out, err = run("mult", "-f", str(path), *json_flag)
+            assert (rc, out) == (4, "")
+            assert err == "limit reached: cannot write a scalar with an integer of more than 4300 digits\n"
+
+    def test_bad_scalar_message_is_short(self, run, tmp_path):
+        path = tmp_path / "bad_scale.json"
+        path.write_text(json.dumps({"type": "dv", "pairs": [{"w": [1, 2], "a": "x" * 5000}]}))
+        rc, out, err = run("nubar", "-f", str(path), "--monomial", "1,1")
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1 and len(err) < 100
+        assert "cannot parse scalar 'xxxxxxxxxxxxxxxxxxxx'..." in err
+
     @pytest.mark.parametrize(
         "doc",
         [

@@ -113,6 +113,25 @@ class TestAdic:
         assert F.level(2) == BOX * BOX
         assert F.level(3) == BOX**3
 
+    def test_sampled_sweeps_are_powers(self):
+        # a sweep that samples every g-th level after every level up to g
+        # reaches each sample in one product and never builds the levels
+        # it skips; each level must be I ** m, which __pow__ builds one
+        # factor at a time (continued here from m - 1)
+        sweep_2d = [*range(1, 51), *range(52, 201, 2), *range(204, 401, 4)]
+        cubic = MonomialIdeal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 5), (1, 1, 1)])
+        for I, ms in ((MonomialIdeal(2, [(5, 0), (2, 1), (0, 3)]), sweep_2d),
+                      (cubic, [3, 6, 9, 12])):
+            F = Adic(I)
+            want = MonomialIdeal.unit(I.n)
+            for m in range(1, ms[-1] + 1):
+                want = want * I
+                if m in ms:
+                    assert F.level(m).gens == want.gens, (I, m)
+            assert want == I ** ms[-1]
+            if I.n == 2:
+                assert not {51, 201, 202} & F._cache.keys()
+
     def test_order_examples(self):
         F = Adic(BOX)
         assert F.order(mono(1, 1)) == 0

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import samfilt
 from samfilt import _kernels as kernels
@@ -33,6 +34,42 @@ def brute_staircase(rows, xmin, ymin):
             if all(w1 * x + w2 * y >= c for w1, w2, c in rows):
                 members.append((x, y))
     return canon(members)
+
+
+def crossing_rows(rnd, kind):
+    """1-6 rows through random points of a small box, so their lines cross
+    inside the staircase.  "tie": every row through one lattice point, with
+    some lines given twice, scaled, so the envelope ties there; "steep":
+    every row has w2 >= w1; "flat": every row has w2 < w1."""
+    whi = rnd.choice((3, 6, 12))
+    common = (rnd.randint(0, 10), rnd.randint(0, 10))
+    rows = []
+    for _ in range(rnd.randint(1, 6)):
+        w1, w2 = rnd.randint(1, whi), rnd.randint(1, whi)
+        if kind == "steep" and w2 < w1 or kind == "flat" and w2 >= w1:
+            w1, w2 = w2 + (kind == "flat"), w1
+        px, py = common if kind == "tie" else (rnd.randint(0, 10), rnd.randint(0, 10))
+        rows.append((w1, w2, w1 * px + w2 * py))
+        if kind == "tie" and rnd.random() < 0.3:
+            rows.append((2 * w1, 2 * w2, 2 * (w1 * px + w2 * py)))
+    return rows, common
+
+
+def is_staircase_of(rows, xmin, ymin, gens):
+    """Whether gens, in ascending y, are the minimal generators: the first
+    sits at ymin and the last at xmin, each lies in the set, and x may not
+    drop before the next generator's y.  This decides the staircase
+    without a scan over y."""
+    def member(x, y):
+        return all(w1 * x + w2 * y >= c for w1, w2, c in rows)
+
+    pairs = list(zip(gens, gens[1:]))
+    return (
+        gens[0][1] == ymin and gens[-1][0] == xmin
+        and all(member(x, y) for x, y in gens)
+        and all(x1 < x0 and y1 > y0 and not member(x0 - 1, y1 - 1)
+                for (x0, y0), (x1, y1) in pairs)
+    )
 
 
 def brute_union_count(rows):
@@ -146,6 +183,49 @@ class TestHelpersPure:
         big = 10**30
         assert kernels.staircase_gens_2d([(big, 1, 3 * big)]) == [
             (3, 0), (2, big), (1, 2 * big), (0, 3 * big)]
+
+    def test_staircase_envelope_matches_scan_over_every_y(self):
+        # one row sets the least x on each interval of y; crossing rows,
+        # ties on the envelope and both ways of generating an interval
+        # (w2 >= w1: every y; w2 < w1: every x) must give the old per-y
+        # scan, order included
+        rnd = random.Random(59)
+        seen = {"tie": 0, "both regimes": 0, "corner": 0}
+        for i in range(12_000):
+            kind = ("cross", "tie", "steep", "flat")[i % 4]
+            rows, (px, py) = crossing_rows(rnd, kind)
+            xm, ym = rnd.randint(0, 4), rnd.randint(0, 4)
+            got = kernels.staircase_gens_2d(rows, xm, ym)
+            assert got == staircase_by_each_y(rows, xm, ym), (rows, xm, ym)
+            steps = {(x0 - x1 > 1, y1 - y0 > 1) for (x0, y0), (x1, y1) in zip(got, got[1:])}
+            seen["both regimes"] += {(True, False), (False, True)} <= steps
+            seen["corner"] += xm > 0 and ym > 0
+            if kind == "tie" and len({Fraction(w2, w1) for w1, w2, _ in rows}) > 1:
+                # rows of two slopes meet on the envelope at (px, py)
+                seen["tie"] += ym <= py and px > xm
+        assert min(seen.values()) > 1000, seen
+
+    def test_staircase_with_1e30_weights(self):
+        # 10^30 on y gives a generator at every y, 10^30 on x one at every
+        # x: the scan runs in the first case, its mirror checks the second;
+        # rows of both kinds together are checked by is_staircase_of
+        big = 10**30
+        rnd = random.Random(61)
+        for _ in range(1000):
+            rows = []
+            for _ in range(rnd.randint(1, 4)):
+                w1, w2 = rnd.randint(1, 5), rnd.randint(1, 5) * big + rnd.randint(0, 3)
+                px, py = rnd.randint(0, 6), rnd.randint(0, 6)
+                rows.append((w1, w2, w1 * px + w2 * py))
+            xm, ym = rnd.randint(0, 3), rnd.randint(0, 3)
+            want = staircase_by_each_y(rows, xm, ym)
+            assert kernels.staircase_gens_2d(rows, xm, ym) == want, (rows, xm, ym)
+            mirror = [(w2, w1, c) for w1, w2, c in rows]
+            assert kernels.staircase_gens_2d(mirror, ym, xm) == [(y, x) for x, y in want[::-1]]
+            mixed = rows[: len(rows) // 2 + 1] + mirror[len(rows) // 2 + 1:]
+            assert is_staircase_of(mixed, xm, ym, kernels.staircase_gens_2d(mixed, xm, ym))
+        assert kernels.staircase_gens_2d([(1, big, 3 * big)]) == [
+            (3 * big, 0), (2 * big, 1), (big, 2), (0, 3)]
 
     def test_prefix_union_count_halfplanes(self):
         # points with 3x+2y < 6: (0,0),(0,1),(0,2),(1,0),(1,1) -> 5

@@ -42,6 +42,22 @@ class TestMonomialValuation:
         assert isinstance(v.value_of_ideal(MonomialIdeal.zero(2)), PlusInfinity)
         assert v.value_of_ideal(MonomialIdeal.unit(2)) == 0
 
+    def test_value_of_ideal_is_min_over_generators(self):
+        rnd = random.Random(67)
+        for _ in range(2000):
+            n = rnd.randint(1, 4)
+            v = MonomialValuation(tuple(rnd.randint(1, 9) for _ in range(n)))
+            gens = [tuple(rnd.randint(0, 6) for _ in range(n)) for _ in range(rnd.randint(0, 6))]
+            I = MonomialIdeal(n, gens)
+            want = min((sum(a * b for a, b in zip(v.w, g)) for g in gens), default=INF)
+            assert v.value_of_ideal(I) == want, (v, gens)
+        for n in range(1, 5):
+            v = MonomialValuation((2,) * n)
+            assert v.value_of_ideal(MonomialIdeal.unit(n)) == 0
+            assert v.value_of_ideal(MonomialIdeal.zero(n)) is INF
+            with pytest.raises(DimensionMismatchError):
+                v.value_of_ideal(MonomialIdeal.unit(n + 1))
+
     def test_valuation_ideal(self):
         # the valuation ideal {3x + 2y >= 6} is one row of system_level
         assert system_level(2, [((3, 2), 6, False)]).gens == ((2, 0), (0, 3), (1, 2))
