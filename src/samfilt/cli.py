@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .equivalence import (
@@ -34,7 +35,7 @@ from .errors import (
     PreconditionError,
     SamfiltError,
 )
-from .exactnum import PlusInfinity, format_scalar
+from .exactnum import _DIGITS_RE, MAX_DIGITS, PlusInfinity, _quoted, format_scalar
 from .filtration import (
     AtLeast,
     Filtration,
@@ -55,7 +56,6 @@ from .samuel import (
     k_filtration,
     nubar,
     nubar_estimate,
-    rees_graded_integral_1var,
     rees_integral_witness_1var,
 )
 from .valuation import MonomialValuation
@@ -74,6 +74,9 @@ def _load_filtration(path: str) -> Filtration:
             "%s: invalid JSON at line %d column %d: %s"
             % (path, exc.lineno, exc.colno, exc.msg)
         ) from exc
+    except ValueError as exc:  # int()'s digit limit, met by a JSON integer
+        raise ParseError("%s: JSON integer %s has more than %d digits" % (
+            path, _quoted(max(_DIGITS_RE.findall(text), key=len)), MAX_DIGITS)) from exc
     return filtration_from_json(data)
 
 
@@ -81,9 +84,9 @@ def _parse_exponent(text: str):
     try:
         parts = [int(p) for p in text.split(",")]
     except ValueError as exc:
-        raise ParseError("bad exponent list %r" % text) from exc
+        raise ParseError("bad exponent list %s" % _quoted(text)) from exc
     if not parts or any(p < 0 for p in parts):
-        raise ParseError("exponents must be nonnegative integers: %r" % text)
+        raise ParseError("exponents must be nonnegative integers: %s" % _quoted(text))
     return tuple(parts)
 
 
@@ -287,8 +290,8 @@ def _cmd_sat(args):
 
 def _cmd_rees1(args):
     alpha = _parse_positive_scalar(args.alpha, "alpha")
-    ok = rees_graded_integral_1var(alpha, args.c, args.ord, args.n)
     witness = rees_integral_witness_1var(alpha, args.c, args.ord, args.n)
+    ok = witness is not None
     lines = ["integral (witness d=%d)" % witness if ok else "not integral"]
     doc = {"command": "rees1", "integral": ok, "witness": witness}
     return _emit(args, lines, doc)
@@ -298,6 +301,9 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors raise ParseError (exit 2, one line); subparsers inherit it."""
 
     def error(self, message):
+        # echo at most 20 characters of a long argument, quoted or not
+        message = re.sub(r"'([^']{21,})'|([^\s']{21,})",
+                         lambda m: _quoted(m.group(1) or m.group(2)), message)
         raise ParseError("%s: %s" % (self.prog, message))
 
 

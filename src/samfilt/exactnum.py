@@ -7,7 +7,8 @@ and squaring arguments; no floating point enters any decision.
 
 Arithmetic is closed within a single quadratic extension Q(sqrt(d)).
 Combining two distinct radicals raises MixedRadicalError.  A radicand is
-reduced to its squarefree part by trial division, so radicands above
+reduced to its squarefree part by trial division, paid once per radicand per
+process (a result's radicand is its operands'), so radicands above
 MAX_RADICAND (10^12, at most 10^6 divisions) are refused: PreconditionError
 from sqrt and ExactReal, ParseError from parse_scalar, which also refuses
 integers of more than MAX_DIGITS digits (int()'s default limit);
@@ -17,6 +18,7 @@ operators order INF, ints, Fractions and ExactReals with one another.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -42,8 +44,10 @@ MAX_DIGITS = 4300
 _DIGIT_CAP = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
 
 
+@functools.lru_cache(maxsize=256)
 def _squarefree_split(d: int) -> tuple[int, int]:
-    """Return (s, d0) with d == s*s*d0 and d0 squarefree."""
+    """Return (s, d0) with d == s*s*d0 and d0 squarefree.  Cached: every
+    surd result reuses its operands' radicand, so each is factored once."""
     if d > MAX_RADICAND:
         raise PreconditionError("radicand exceeds 10^12")
     s, d0 = 1, d
@@ -55,18 +59,6 @@ def _squarefree_split(d: int) -> tuple[int, int]:
             s *= k
         k += 1
     return s, d0
-
-
-def _floor_sqrt_scaled(q: int, d: int) -> int:
-    """Exact floor(q * sqrt(d)) for integer q (any sign), d >= 2."""
-    if q == 0:
-        return 0
-    m = q * q * d
-    root = math.isqrt(m)
-    if q > 0:
-        return root
-    # floor(-x) = -ceil(x)
-    return -root if root * root == m else -root - 1
 
 
 class ExactReal:
@@ -261,13 +253,10 @@ class ExactReal:
     def floor(self) -> int:
         if self.q == 0:
             return self.p // self.r
-        k = (self.p + _floor_sqrt_scaled(self.q, self.d)) // self.r
-        # correct the estimate by exact comparison (at most one step off)
-        while self._cmp(k + 1) >= 0:
-            k += 1
-        while self._cmp(k) < 0:
-            k -= 1
-        return k
+        # floor((p + x)/r) = floor((p + floor(x))/r) for integers p and r > 0;
+        # x = q*sqrt(d) is irrational, so floor(x) = -isqrt(q*q*d) - 1 for q < 0
+        s = math.isqrt(self.q * self.q * self.d)
+        return (self.p + (s if self.q > 0 else -s - 1)) // self.r
 
     def ceil(self) -> int:
         return -((-self).floor())

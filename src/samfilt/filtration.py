@@ -373,8 +373,9 @@ class DiscreteValued(Filtration):
 
 
 class Twist(Filtration):
-    """Level reindexing I_m -> I_ceil(alpha*m); never flattened.  Methods
-    walk a chain of twists in a loop, so its depth costs no stack."""
+    """Level reindexing I_m -> I_ceil(alpha*m); never flattened.  The chain
+    of twists is resolved at construction into the engine under it and its
+    factors, so no method walks it and its depth costs no stack."""
 
     def __init__(self, base: Filtration, alpha):
         super().__init__()
@@ -384,68 +385,68 @@ class Twist(Filtration):
         self.base = base
         self.alpha = alpha
         self.n = base.n
+        # the factors innermost first, in one list per chain: a twist over
+        # the outermost twist extends it, so k nested twists hold k factors
+        # (a list per twist would hold k^2/2)
+        if isinstance(base, Twist):
+            self._root, self._factors = base._root, base._factors
+            if len(self._factors) > base._depth:  # a second twist of base
+                self._factors = self._factors[:base._depth]
+            self._factors.append(alpha)
+        else:
+            self._root, self._factors = base, [alpha]
+        self._depth = len(self._factors)
 
-    def _chain(self) -> tuple[list, Filtration]:
-        """The factors from this twist inward, and the engine under them."""
-        alphas, F = [], self
-        while isinstance(F, Twist):
-            alphas.append(F.alpha)
-            F = F.base
-        return alphas, F
+    @property
+    def _alphas(self) -> list:
+        """This factor, then the base's: outermost first."""
+        return self._factors[self._depth - 1::-1]
 
     def _level(self, m: int) -> MonomialIdeal:
-        alphas, root = self._chain()
-        for alpha in alphas:
+        for alpha in self._alphas:
             m = ceil_mul(alpha, m)
-        return root.level(m)
+        return self._root.level(m)
 
     def order(self, f: SupportPoly) -> OrderValue:
-        alphas, root = self._chain()
-        value = root.order(f)
+        value = self._root.order(f)
         if isinstance(value, PlusInfinity):
             return INF
         bound = value.bound if isinstance(value, AtLeast) else value
-        for alpha in reversed(alphas):
+        for alpha in reversed(self._alphas):
             bound = (as_exact(bound) / alpha).floor()
         return AtLeast(bound) if isinstance(value, AtLeast) else bound
 
     def asymptotic_order(self, f: SupportPoly, n_max: int) -> NubarResult:
         # the root's answer over each alpha: the twisted levels give weaker bounds
-        alphas, root = self._chain()
-        inner = root.asymptotic_order(f, n_max)
+        inner = self._root.asymptotic_order(f, n_max)
         value = inner.value
-        for alpha in reversed(alphas):
+        for alpha in reversed(self._alphas):
             value = value / alpha  # INF stays INF
         return NubarResult(value, inner.kind, inner.witness_n, inner.truncated)
 
     def _rows(self):
-        alphas, root = self._chain()
-        rows, s = root._rows(), math.prod(alphas)
+        rows, s = self._root._rows(), math.prod(self._alphas)
         return None if rows is None else [(l, s * c) for l, c in rows]
 
     def _points(self):
-        alphas, root = self._chain()
-        pts, s = root._points(), math.prod(alphas)
+        pts, s = self._root._points(), math.prod(self._alphas)
         return None if pts is None else [[s * x for x in p] for p in pts]
 
     def _bound_reached(self) -> bool:
         # rho(r) = 1 needs alpha*k integral at the index k each twist reads
         # for witness r, which some multiple of r gives iff every alpha is
         # rational; the root is asked first, so a table root refuses
-        alphas, root = self._chain()
-        return root._bound_reached() and all(a.is_rational for a in alphas)
+        return self._root._bound_reached() and all(a.is_rational for a in self._alphas)
 
     def to_json(self) -> dict:
-        alphas, root = self._chain()
-        doc = root.to_json()
-        for alpha in reversed(alphas):
+        doc = self._root.to_json()
+        for alpha in reversed(self._alphas):
             doc = {"type": "twist", "alpha": format_scalar(alpha), "base": doc}
         return doc
 
     def __repr__(self):
-        alphas, root = self._chain()
-        return "Twist(" * len(alphas) + repr(root) + "".join(
-            ", %s)" % alpha for alpha in reversed(alphas))
+        return "Twist(" * self._depth + repr(self._root) + "".join(
+            ", %s)" % alpha for alpha in reversed(self._alphas))
 
 
 class StairOneVar(Filtration):

@@ -602,12 +602,17 @@ class TestErrorHandling:
             ("nubar", "-f", "{adic}", "--monomial", "1,1", "--n-max", "x"),
             ("mystery",),
             (),
+            ("k", "-f", "{adic}", "--m-max", "1" * 5000),
+            ("1" * 5000,),
+            ("k", "-f", "{adic}", "--m-max", "2", "1" * 5000),
         ],
     )
     def test_usage_error_one_line_exit_2(self, run, files, argv):
+        # an echoed argument is cut to 20 characters
         rc, out, err = run(*(a.format(**files) for a in argv))
         assert (rc, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("parse error: samfilt")
+        assert len(err) < 200
         assert "usage:" not in err and "Traceback" not in err
 
     def test_bad_alpha_exit_2(self, run, files):
@@ -633,6 +638,31 @@ class TestErrorHandling:
         assert (rc, out) == (2, "")
         assert len(err.splitlines()) == 1 and "set_int_max_str_digits" not in err
         assert "has an integer of more than 4300 digits" in err
+
+    @pytest.mark.parametrize("doc", [
+        '{"type": "adic", "ideal": {"n": 2, "gens": [[%s, 0], [0, 3]]}}',
+        '{"type": "dv", "pairs": [{"w": [%s, 2], "a": "1/1"}]}',
+    ], ids=["adic-exponent", "dv-weight"])
+    def test_long_json_integer_exit_2(self, run, tmp_path, doc):
+        # json.loads itself refuses an integer of more than 4300 digits
+        path = tmp_path / "long_int.json"
+        path.write_text(doc % ("1" * 5000))
+        rc, out, err = run("nu", "-f", str(path), "--monomial", "1,1")
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1 and len(err) < 200
+        assert err.endswith(": JSON integer '11111111111111111111'... has more than 4300 digits\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("nu", "--monomial", "1" * 5000 + ",1"),
+        ("val", "--valuation", "1" * 5000 + ",1"),
+        ("sat", "--test-vals", "1" * 5000 + ",1"),
+        ("nu", "--monomial", "-" + "1" * 5000),
+    ])
+    def test_long_exponent_message_is_short(self, run, files, argv):
+        rc, out, err = run(argv[0], "-f", files["adic"], *argv[1:])
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1 and len(err) < 200
+        assert "'11111111111111111111'..." in err or "'-1111111111111111111'..." in err
 
     def test_long_result_exit_4(self, run, tmp_path):
         # each scale is 1/(4000 digits), so the exact multiplicity has

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import samfilt
@@ -257,11 +257,12 @@ def test_rational_arithmetic_matches_fraction(a, b):
     assert (ea < eb, ea == eb, ea > eb) == (a < b, a == b, a > b)
 
 
+@settings(deadline=None)  # the first draw of 999999999989 factors it, about 0.3 s
 @given(
-    st.integers(-200, 200),
-    st.integers(-30, 30),
-    st.sampled_from([2, 3, 5, 6, 7, 10]),
-    st.integers(1, 40),
+    st.integers(-10**30, 10**30),
+    st.integers(-10**20, 10**20),
+    st.sampled_from([2, 3, 5, 6, 7, 10, 30021, 999999999989]),
+    st.integers(1, 10**20),
 )
 def test_floor_brackets_value(p, q, d, r):
     x = ExactReal(p, q, d, r)
@@ -332,3 +333,14 @@ def test_public_names_resolve():
         scope = {}
         exec("from %s import *" % mod.__name__, scope)
         assert set(mod.__all__) <= set(scope)
+
+
+def test_radicand_is_factored_once():
+    # a result's radicand is its operands', so over 1,000 results in
+    # Q(sqrt(999999999989)) trial-divide it at most once
+    split = samfilt.exactnum._squarefree_split
+    misses = split.cache_info().misses
+    x = ER(1, 1, 999999999989, 2)
+    results = [x * k - x / (k + 1) for k in range(1, 335)]
+    assert all(y.d == 999999999989 for y in results)
+    assert split.cache_info().misses - misses <= 1

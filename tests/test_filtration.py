@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from samfilt import (
     DimensionMismatchError,
     DiscreteValued,
     HorizonExceededError,
+    MixedRadicalError,
     MonomialIdeal,
     ParseError,
     PlusInfinity,
@@ -29,7 +31,7 @@ from samfilt import (
     sqrt,
     twist,
 )
-from samfilt.exactnum import format_scalar
+from samfilt.exactnum import as_exact, ceil_mul, format_scalar
 from samfilt.valuation import MonomialValuation
 
 from oracles import adic_order, adic_order_dp, dv_level_members, dv_order, minimal_points
@@ -183,6 +185,11 @@ class TestAdic:
             if all(any(g) for g in gens):
                 e = tuple(rnd.randint(0, (40, 40, 16, 9)[n - 1]) for _ in range(n))
                 cases.append((MonomialIdeal(n, gens), e))
+        # the search must push a seen exponent again when it is owed less:
+        # a search that never does answers 9 here (the same ideal without z
+        # gives 10 both ways)
+        cases.append((MonomialIdeal(4, [(0, 0, 2, 0), (2, 0, 0, 3), (0, 0, 0, 6),
+                                        (0, 6, 0, 0), (6, 0, 0, 0)]), (12, 22, 1, 25)))
         assert sum(not I.is_primary() for I, _ in cases) > 500
         for I, e in cases:
             assert Adic(I).order(mono(*e)) == adic_order_dp(I.gens, e), (I, e)
@@ -340,6 +347,71 @@ class TestTwist:
                 o = T.order(f)
                 assert T.level(o).contains(f)
                 assert not T.level(o + 1).contains(f)
+
+    def test_resolved_chain_answers_like_a_walk(self, rng):
+        # random 1-40-deep chains, with a branch off a middle twist and a
+        # twist of the branch, against a walk over .base and .alpha; chains
+        # mixing sqrt(2) and sqrt(3) build, and answer or raise as the walk does
+        def walk(T):
+            alphas = []
+            while isinstance(T, Twist):
+                alphas.append(T.alpha)
+                T = T.base
+            return alphas, T
+
+        def outcome(ask):
+            try:
+                return ask()
+            except MixedRadicalError as exc:
+                return type(exc)
+
+        pools = ([Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2), 2],
+                 [sqrt(2), sqrt(2) / 2, Fraction(2, 3), 1],
+                 [sqrt(2), sqrt(3), Fraction(1, 2), 1])
+        roots = ((Adic(BOX), (3, 4)), (DV(((1, 2), 1), ((2, 1), 1 + sqrt(2))), (3, 4)),
+                 (StairOneVar(sqrt(2), 1), (7,)))
+        for i in range(45):
+            pool, (root, e) = pools[i % 3], roots[i // 3 % 3]
+            chain = [root]
+            for _ in range(rng.randint(1, 40)):
+                chain.append(Twist(chain[-1], rng.choice(pool)))
+            j = rng.randrange(1, len(chain))
+            branch = Twist(chain[j], rng.choice(pool))
+            for T in (chain[-1], chain[j], branch, Twist(branch, rng.choice(pool))):
+                alphas, R = walk(T)
+                case = (i, repr(T))
+                for m in (1, 2, 3):
+                    k = m
+                    for a in alphas:
+                        k = ceil_mul(a, k)
+                    if k <= 300:
+                        assert T.level(m) == R.level(k), case
+                f = SupportPoly.monomial(e)
+                want = R.order(f)
+                bound = want.bound if isinstance(want, AtLeast) else want
+                for a in reversed(alphas):
+                    bound = (as_exact(bound) / a).floor()
+                assert T.order(f) == (AtLeast(bound) if isinstance(want, AtLeast) else bound)
+
+                def nubar_walk():
+                    value = R.asymptotic_order(f, None).value
+                    for a in reversed(alphas):
+                        value = value / a
+                    return value
+
+                assert outcome(lambda: T.asymptotic_order(f, None).value) == outcome(nubar_walk)
+                assert outcome(T._rows) == outcome(
+                    lambda: [(l, math.prod(alphas) * c) for l, c in R._rows()]), case
+                assert outcome(T._points) == outcome(
+                    lambda: [[math.prod(alphas) * x for x in p] for p in R._points()]), case
+                assert T._bound_reached() == (R._bound_reached() and all(
+                    a.is_rational for a in alphas))
+                doc = R.to_json()
+                for a in reversed(alphas):
+                    doc = {"type": "twist", "alpha": format_scalar(a), "base": doc}
+                assert T.to_json() == doc
+                assert repr(T) == "Twist(" * len(alphas) + repr(R) + "".join(
+                    ", %s)" % a for a in reversed(alphas))
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(PreconditionError):
